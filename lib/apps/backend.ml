@@ -1,11 +1,5 @@
 type t = {
   name : string;
-  (* RX discipline: [true] routes servers through the in-place
-     [Wire.Reader] path (validate once, access fields in the receive
-     buffer); [false] materializes a [Wire.Dyn] via [recv]. Only the
-     Cornflakes wire format supports in-place access; baselines always
-     parse-into-heap. *)
-  zc_rx : bool;
   send :
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
   recv :
@@ -18,7 +12,7 @@ type t = {
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
 }
 
-let cornflakes ?(config = Cornflakes.Config.default) ?(zc_rx = true) () =
+let cornflakes ?(config = Cornflakes.Config.default) () =
   {
     name =
       (if config = Cornflakes.Config.default then "cornflakes"
@@ -26,9 +20,7 @@ let cornflakes ?(config = Cornflakes.Config.default) ?(zc_rx = true) () =
        else if config = Cornflakes.Config.all_zero_copy then "cornflakes-zc"
        else
          Printf.sprintf "cornflakes-t%d%s" config.Cornflakes.Config.zero_copy_threshold
-           (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"))
-      ^ (if zc_rx then "" else "-copyrx");
-    zc_rx;
+           (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"));
     send = (fun ?cpu tr ~dst msg -> Cornflakes.Send.send_via ?cpu config tr ~dst msg);
     recv =
       (fun ?cpu _tr desc buf ->
@@ -52,7 +44,6 @@ let protobuf_wrap ?cpu tr view =
 let protobuf =
   {
     name = "protobuf";
-    zc_rx = false;
     send = (fun ?cpu tr ~dst msg -> Baselines.Protobuf.serialize_and_send ?cpu tr ~dst msg);
     recv =
       (fun ?cpu tr desc buf ->
@@ -64,7 +55,6 @@ let protobuf =
 let flatbuffers =
   {
     name = "flatbuffers";
-    zc_rx = false;
     send = (fun ?cpu tr ~dst msg -> Baselines.Flatbuf.serialize_and_send ?cpu tr ~dst msg);
     recv =
       (fun ?cpu _tr desc buf ->
@@ -75,7 +65,6 @@ let flatbuffers =
 let capnproto =
   {
     name = "capnproto";
-    zc_rx = false;
     send = (fun ?cpu tr ~dst msg -> Baselines.Capnp.serialize_and_send ?cpu tr ~dst msg);
     recv =
       (fun ?cpu _tr desc buf ->

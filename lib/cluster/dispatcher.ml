@@ -3,13 +3,18 @@
    reassembles the partial responses into one client response without
    copying payload bytes.
 
+   Every frame is validated once with a pooled [Wire.Reader] and read in
+   place: the cluster speaks the Cornflakes wire format end to end, so no
+   request or partial response is ever materialized into a [Wire.Dyn].
+
    Ownership contract across the fan-out (what RefSan checks dynamically):
 
-   - A partial response deserializes into refcounted [Zero_copy] windows
-     of the dispatcher's rx buffer. Retaining a value into its pending
-     slot takes one extra reference, then the parsed message is released
-     — net effect, the slot owns exactly one reference and the rx buffer
-     stays pinned until assembly.
+   - Each forwarded key/value and each value of a partial response is a
+     [Wire.Rc_view] slice of the receive buffer: one reference on the RX
+     ring slot. A sub-request's slices transfer their references to its
+     send path; a partial's slices are parked in their pending slots, so
+     each slot owns exactly one reference and the rx buffer stays pinned
+     until assembly.
    - Assembly moves each slot payload into the egress response; the send
      path consumes one reference per zero-copy payload (released on NIC
      completion / cumulative ACK), so handing the slot's reference to the
@@ -20,9 +25,9 @@
      dropped at demotion.
 
    Pending slots are the only state that lives across handler
-   invocations; everything else (arena copies, parsed messages) dies with
-   the invocation, which is exactly the [Loadgen.Server] arena-reset
-   contract. *)
+   invocations; everything else (arena copies, the readers' per-frame
+   offsets) is scratch for one invocation, which is exactly the
+   [Loadgen.Server] arena-reset contract. *)
 
 (* How a method word shapes the fan-out: whether per-key response slots
    are kept for reassembly (gets) and whether request values ride along
@@ -73,12 +78,10 @@ type t = {
   ring : Ring.t;
   shard_index : (int, int) Hashtbl.t; (* shard endpoint id -> dense index *)
   adaptives : Cornflakes.Adaptive.t array; (* per shard index *)
-  stash : Mem.Pinned.Pool.t; (* for non-refcounted partial payloads *)
   subreq_scratch : Wire.Dyn.t;
   resp_scratch : Wire.Dyn.t;
-  (* Pooled in-place readers for the zc-RX path: requests and partial
-     responses are validated once and accessed in the receive buffer;
-     retained values become [Wire.Rc_view] slices, no [Dyn] in between. *)
+  (* Pooled in-place readers: requests and partial responses are
+     validated once and accessed in the receive buffer. *)
   req_reader : Wire.Reader.t;
   partial_reader : Wire.Reader.t;
   strategies : strategy Rpc.Table.t; (* method word -> fan-out shape *)
@@ -92,7 +95,6 @@ type t = {
   mutable misaligned : int;
   mutable zc_forwards : int;
   mutable copy_forwards : int;
-  mutable stash_copies : int;
   completions : (int64, int) Hashtbl.t; (* client id -> responses sent *)
 }
 
@@ -100,28 +102,6 @@ let fresh_fanout t =
   let id = t.next_fanout in
   t.next_fanout <- id + 1;
   id
-
-(* Retain a payload beyond this handler invocation. Zero-copy windows take
-   a reference; arena-backed views (a copying backend's deserialize) are
-   stashed into a dispatcher-owned pinned buffer, since the arena resets
-   when the handler returns. *)
-let retain t ~cpu (p : Wire.Payload.t) =
-  match p with
-  | Wire.Payload.Zero_copy b ->
-      Mem.Pinned.Buf.incr_ref ~cpu ~site:"Dispatcher.retain" b;
-      Some p
-  | Wire.Payload.Copied v | Wire.Payload.Literal v -> (
-      match
-        Mem.Pinned.Buf.alloc ~cpu ~site:"Dispatcher.stash" t.stash
-          ~len:(max 1 v.Mem.View.len)
-      with
-      | buf ->
-          if v.Mem.View.len > 0 then
-            Mem.Pinned.Buf.blit_from ~cpu ~site:"Dispatcher.stash" buf ~src:v
-              ~dst_off:0;
-          t.stash_copies <- t.stash_copies + 1;
-          Some (Wire.Payload.Zero_copy buf)
-      | exception Mem.Pinned.Out_of_memory _ -> None)
 
 (* Move a retained slot payload into the egress response: the per-source-
    shard adaptive estimator picks zero-copy (reference handed to the
@@ -169,171 +149,11 @@ let charge_route t key =
   Memmodel.Cpu.charge cpu Memmodel.Cpu.App prm.Memmodel.Params.cost_hash_op;
   ignore key
 
-let handle_request t ~src req =
-  let cpu = t.cpu in
-  let client_id =
-    Option.value ~default:(-1L) (Wire.Dyn.get_int req "id")
-  in
-  let op = Option.value ~default:Apps.Proto.op_get (Wire.Dyn.get_int req "op") in
-  let st = Rpc.Table.dispatch t.strategies (Int64.to_int op) in
-  let keys =
-    List.filter_map
-      (fun v -> match v with Wire.Dyn.Payload p -> Some p | _ -> None)
-      (Wire.Dyn.get_list req "keys")
-  in
-  (* Route every key: hash the bytes (charged), look up the ring owner. *)
-  let owners =
-    List.map
-      (fun p ->
-        let key = Shard.key_string ~cpu p in
-        charge_route t key;
-        Ring.owner t.ring key)
-      keys
-  in
-  let slots =
-    Array.of_list (List.map (fun o -> { owner = o; payload = None }) owners)
-  in
-  (* Group slot indices by owner shard, preserving request order within a
-     group (first-appearance group order keeps sub-requests deterministic). *)
-  let groups =
-    let acc = ref [] in
-    Array.iteri
-      (fun i s ->
-        match List.find_opt (fun (sh, _) -> sh = s.owner) !acc with
-        | Some (_, idxs) -> idxs := i :: !idxs
-        | None -> acc := !acc @ [ (s.owner, ref [ i ]) ])
-      slots;
-    List.map
-      (fun (sh, idxs) ->
-        { g_shard = sh; g_slots = Array.of_list (List.rev !idxs); g_arrived = false })
-      !acc
-  in
-  let groups =
-    (* A put has one key; its group carries the values along. *)
-    if st.forward_vals && groups = [] then []
-    else groups
-  in
-  let fid = fresh_fanout t in
-  let p =
-    {
-      client = src;
-      client_id;
-      slots = (if st.keep_slots then slots else [||]);
-      groups;
-      awaiting = List.length groups;
-    }
-  in
-  if p.awaiting = 0 then begin
-    (* Degenerate request (no keys): answer immediately, still exactly
-       once. *)
-    let resp = t.resp_scratch in
-    Wire.Dyn.clear resp;
-    Wire.Dyn.set_int resp "id" client_id;
-    t.backend.Apps.Backend.send ~cpu t.tr ~dst:src resp;
-    t.started <- t.started + 1;
-    t.completed <- t.completed + 1;
-    record_completion t client_id
-  end
-  else begin
-    Hashtbl.replace t.pending fid p;
-    t.started <- t.started + 1;
-    let keys_arr = Array.of_list keys in
-    let vals = Wire.Dyn.get_list req "vals" in
-    List.iter
-      (fun g ->
-        let sub = t.subreq_scratch in
-        Wire.Dyn.clear sub;
-        Wire.Dyn.set_int sub "id" (Int64.of_int fid);
-        Wire.Dyn.set_int sub "op" op;
-        (match Wire.Dyn.get_int req "index" with
-        | Some ix -> Wire.Dyn.set_int sub "index" ix
-        | None -> ());
-        Array.iter
-          (fun slot_idx ->
-            match retain t ~cpu keys_arr.(slot_idx) with
-            | Some p -> Wire.Dyn.append sub "keys" (Wire.Dyn.Payload p)
-            | None -> ())
-          g.g_slots;
-        if st.forward_vals then
-          List.iter
-            (fun v ->
-              match v with
-              | Wire.Dyn.Payload p -> (
-                  match retain t ~cpu p with
-                  | Some p -> Wire.Dyn.append sub "vals" (Wire.Dyn.Payload p)
-                  | None -> ())
-              | _ -> ())
-            vals;
-        t.backend.Apps.Backend.send ~cpu t.tr ~dst:g.g_shard sub)
-      groups
-  end
-
-(* --- Partial response: slot fill, assemble on last arrival -------------- *)
-
-let assemble t fid p =
-  let cpu = t.cpu in
-  Hashtbl.remove t.pending fid;
-  let resp = t.resp_scratch in
-  Wire.Dyn.clear resp;
-  Wire.Dyn.set_int resp "id" p.client_id;
-  Array.iter
-    (fun s ->
-      match s.payload with
-      | Some payload ->
-          let shard_idx =
-            Option.value ~default:0 (Hashtbl.find_opt t.shard_index s.owner)
-          in
-          Wire.Dyn.append resp "vals"
-            (Wire.Dyn.Payload (forward t ~shard_idx payload));
-          s.payload <- None
-      | None -> ())
-    p.slots;
-  t.backend.Apps.Backend.send ~cpu t.tr ~dst:p.client resp;
-  t.completed <- t.completed + 1;
-  record_completion t p.client_id
-
-let handle_partial t ~src resp_msg =
-  let cpu = t.cpu in
-  t.partials <- t.partials + 1;
-  let fid =
-    match Wire.Dyn.get_int resp_msg "id" with
-    | Some id -> Int64.to_int id
-    | None -> -1
-  in
-  match Hashtbl.find_opt t.pending fid with
-  | None -> t.orphan_partials <- t.orphan_partials + 1
-  | Some p -> (
-      match List.find_opt (fun g -> g.g_shard = src) p.groups with
-      | None -> t.orphan_partials <- t.orphan_partials + 1
-      | Some g when g.g_arrived -> t.dup_partials <- t.dup_partials + 1
-      | Some g ->
-          g.g_arrived <- true;
-          let vals =
-            List.filter_map
-              (fun v ->
-                match v with Wire.Dyn.Payload pl -> Some pl | _ -> None)
-              (Wire.Dyn.get_list resp_msg "vals")
-          in
-          let vals_arr = Array.of_list vals in
-          if Array.length vals_arr <> Array.length g.g_slots && p.slots <> [||]
-          then t.misaligned <- t.misaligned + 1;
-          Array.iteri
-            (fun pos slot_idx ->
-              if pos < Array.length vals_arr && p.slots <> [||] then
-                match retain t ~cpu vals_arr.(pos) with
-                | Some payload -> p.slots.(slot_idx).payload <- Some payload
-                | None -> ())
-            g.g_slots;
-          p.awaiting <- p.awaiting - 1;
-          if p.awaiting = 0 then assemble t fid p)
-
-(* --- In-place fan-out path (zc-RX) ------------------------------------- *)
-
 (* Client request over the validated reader: keys are hashed straight out
    of the receive buffer for routing, and each forwarded key/value becomes
    an [Rc_view] slice whose reference transfers to the sub-request's send
    path — the request bytes are never re-materialized. *)
-let handle_request_zc t ~src r =
+let handle_request t ~src r =
   let cpu = t.cpu in
   let client_id =
     if Wire.Reader.present r Apps.Proto.req_id then
@@ -382,6 +202,8 @@ let handle_request_zc t ~src r =
     }
   in
   if p.awaiting = 0 then begin
+    (* Degenerate request (no keys): answer immediately, still exactly
+       once. *)
     let resp = t.resp_scratch in
     Wire.Dyn.clear resp;
     Wire.Dyn.set_int resp "id" client_id;
@@ -410,7 +232,7 @@ let handle_request_zc t ~src r =
         Array.iter
           (fun slot_idx ->
             let rc =
-              Wire.Reader.elem_rc ~site:"Dispatcher.retain" r
+              Wire.Reader.elem_rc ~site:"Dispatcher.handle_request" r
                 Apps.Proto.req_keys ~j:slot_idx
             in
             Wire.Dyn.append sub "keys"
@@ -418,8 +240,8 @@ let handle_request_zc t ~src r =
           g.g_slots;
         for j = 0 to nvals - 1 do
           let rc =
-            Wire.Reader.elem_rc ~site:"Dispatcher.retain" r Apps.Proto.req_vals
-              ~j
+            Wire.Reader.elem_rc ~site:"Dispatcher.handle_request" r
+              Apps.Proto.req_vals ~j
           in
           Wire.Dyn.append sub "vals"
             (Wire.Dyn.Payload (Wire.Rc_view.to_payload rc))
@@ -428,12 +250,35 @@ let handle_request_zc t ~src r =
       groups
   end
 
+(* --- Partial response: slot fill, assemble on last arrival -------------- *)
+
+let assemble t fid p =
+  let cpu = t.cpu in
+  Hashtbl.remove t.pending fid;
+  let resp = t.resp_scratch in
+  Wire.Dyn.clear resp;
+  Wire.Dyn.set_int resp "id" p.client_id;
+  Array.iter
+    (fun s ->
+      match s.payload with
+      | Some payload ->
+          let shard_idx =
+            Option.value ~default:0 (Hashtbl.find_opt t.shard_index s.owner)
+          in
+          Wire.Dyn.append resp "vals"
+            (Wire.Dyn.Payload (forward t ~shard_idx payload));
+          s.payload <- None
+      | None -> ())
+    p.slots;
+  t.backend.Apps.Backend.send ~cpu t.tr ~dst:p.client resp;
+  t.completed <- t.completed + 1;
+  record_completion t p.client_id
+
 (* Partial response over the validated reader: each value retained into its
    pending slot is an [Rc_view] slice of the shard's response frame — the
    slot owns exactly one reference and the RX ring slot stays pinned until
-   assembly hands it to the egress send (same ownership automaton as the
-   [Dyn] path, minus the parse). *)
-let handle_partial_zc t ~src r =
+   assembly hands it to the egress send. *)
+let handle_partial t ~src r =
   t.partials <- t.partials + 1;
   let fid =
     if Wire.Reader.present r Apps.Proto.resp_id then
@@ -459,7 +304,7 @@ let handle_partial_zc t ~src r =
             (fun pos slot_idx ->
               if pos < nvals && p.slots <> [||] then begin
                 let rc =
-                  Wire.Reader.elem_rc ~site:"Dispatcher.retain" r
+                  Wire.Reader.elem_rc ~site:"Dispatcher.handle_partial" r
                     Apps.Proto.resp_vals ~j:pos
                 in
                 p.slots.(slot_idx).payload <- Some (Wire.Rc_view.to_payload rc)
@@ -470,40 +315,23 @@ let handle_partial_zc t ~src r =
 
 let handler t ~src buf =
   let cpu = t.cpu in
-  (if t.backend.Apps.Backend.zc_rx then
-     if Hashtbl.mem t.shard_index src then begin
-       Wire.Reader.validate ~cpu t.partial_reader buf;
-       handle_partial_zc t ~src t.partial_reader
-     end
-     else begin
-       Wire.Reader.validate ~cpu t.req_reader buf;
-       handle_request_zc t ~src t.req_reader
-     end
-   else if Hashtbl.mem t.shard_index src then begin
-     let resp_msg = t.backend.Apps.Backend.recv ~cpu t.tr Apps.Proto.resp buf in
-     handle_partial t ~src resp_msg;
-     Wire.Dyn.release ~cpu resp_msg
-   end
-   else begin
-     let req = t.backend.Apps.Backend.recv ~cpu t.tr Apps.Proto.req buf in
-     handle_request t ~src req;
-     Wire.Dyn.release ~cpu req
-   end);
+  if Hashtbl.mem t.shard_index src then begin
+    Wire.Reader.validate ~cpu t.partial_reader buf;
+    handle_partial t ~src t.partial_reader
+  end
+  else begin
+    Wire.Reader.validate ~cpu t.req_reader buf;
+    handle_request t ~src t.req_reader
+  end;
   Mem.Pinned.Buf.decr_ref ~cpu ~site:"Dispatcher.handler_done" buf
 
-let create ~fabric ~registry ~space ~kind ~backend ~queue_limit ~id ~ring
-    ~shard_ids ~stash_classes =
+let create ~fabric ~registry ~kind ~backend ~queue_limit ~id ~ring ~shard_ids =
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
   let ep = Net.Endpoint.create ~cpu fabric registry ~id in
   let tr = Apps.Rig.transport_for ~kind ep in
   let server = Loadgen.Server.create ~queue_limit tr cpu in
   let shard_index = Hashtbl.create 16 in
   List.iteri (fun i sid -> Hashtbl.replace shard_index sid i) shard_ids;
-  let stash =
-    Mem.Pinned.Pool.create space ~name:"dispatcher-stash"
-      ~classes:stash_classes
-  in
-  Mem.Registry.register registry stash;
   let t =
     {
       id;
@@ -520,7 +348,6 @@ let create ~fabric ~registry ~space ~kind ~backend ~queue_limit ~id ~ring
       adaptives =
         Array.init (List.length shard_ids) (fun _ ->
             Cornflakes.Adaptive.create ~initial:64 ());
-      stash;
       subreq_scratch = Wire.Dyn.create Apps.Proto.req;
       resp_scratch = Wire.Dyn.create Apps.Proto.resp;
       req_reader = Wire.Reader.create Apps.Proto.req;
@@ -551,7 +378,6 @@ let create ~fabric ~registry ~space ~kind ~backend ~queue_limit ~id ~ring
       misaligned = 0;
       zc_forwards = 0;
       copy_forwards = 0;
-      stash_copies = 0;
       completions = Hashtbl.create 4096;
     }
   in
@@ -578,8 +404,6 @@ let adaptive t ~shard_idx = t.adaptives.(shard_idx)
 let zc_forwards t = t.zc_forwards
 
 let copy_forwards t = t.copy_forwards
-
-let stash_copies t = t.stash_copies
 
 let audit t =
   {

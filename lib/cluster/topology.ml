@@ -42,10 +42,11 @@ let dispatcher_id = 90
 
 let client_base = 100
 
-let stash_classes =
-  [ (64, 4096); (128, 4096); (256, 4096); (512, 2048); (1024, 2048);
-    (2048, 1024); (4096, 1024) ]
-
+(* [create ~shards ~n_keys ~backend ()] builds and populates the cluster.
+   [backend] must speak the Cornflakes wire format (an
+   [Apps.Backend.cornflakes] config): dispatchers validate and read every
+   frame in place with a [Wire.Reader] over the Cornflakes layout, while
+   shards and clients go through the backend's [send]/[recv]. *)
 let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
     ?(vnodes = 128) ?(queue_limit = 1_000_000) ?(zipf_s = 0.99)
     ?(mget_batch = 4) ?(mget_fraction = 0.5) ?(put_fraction = 0.05) ~shards:n
@@ -86,8 +87,8 @@ let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
   List.iteri (fun i items -> Plan.install items shards.(i)) plans;
   let dispatchers =
     Array.init dispatchers (fun i ->
-        Dispatcher.create ~fabric ~registry ~space ~kind ~backend ~queue_limit
-          ~id:(dispatcher_id + i) ~ring ~shard_ids ~stash_classes)
+        Dispatcher.create ~fabric ~registry ~kind ~backend ~queue_limit
+          ~id:(dispatcher_id + i) ~ring ~shard_ids)
   in
   let clients =
     List.init n_clients (fun i ->

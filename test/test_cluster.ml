@@ -99,11 +99,13 @@ let payload_strings msg field =
 
 (* Send one request through the dispatcher and run the engine dry;
    returns (response id, vals) as the client saw them. *)
-let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
+let roundtrip ?(responses = ref 0) topo backend ~op ~keys ?(vals = []) ~id ()
+    =
   let client = List.hd (Cluster.Topology.clients topo) in
   let space = Mem.Registry.space (Cluster.Topology.registry topo) in
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
+      incr responses;
       let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
       let rid =
         Int64.to_int (Option.value ~default:(-1L) (Wire.Dyn.get_int msg "id"))
@@ -241,6 +243,74 @@ let test_adaptive_observations_advance () =
   Alcotest.(check int) "every forward observed (zc + copy)" (obs ())
     (Cluster.Dispatcher.zc_forwards d + Cluster.Dispatcher.copy_forwards d)
 
+(* The audit's failure paths, driven by Faultline duplicating packets
+   bound for the dispatcher. A two-shard get is three such packets: event
+   1 is the client request, events 2 and 3 are the partials in arrival
+   order. A duplicate lands one fabric delay after its original. *)
+let test_audit_counts_orphan_and_dup_partials () =
+  let was = Sanitizer.Refsan.is_enabled () in
+  Sanitizer.Refsan.reset ();
+  Sanitizer.Refsan.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Sanitizer.Refsan.set_enabled was;
+      Sanitizer.Refsan.reset ())
+    (fun () ->
+      let topo, backend = make_topo () in
+      let d = Cluster.Topology.dispatcher topo in
+      let k1, k2 = keys_spanning topo in
+      let inject rules =
+        Net.Fabric.set_injector (Cluster.Topology.fabric topo)
+          (Some (Faults.Injector.create (Faults.Plan.make ~seed:1 rules)))
+      in
+      let rule fault at_event =
+        {
+          Faults.Plan.fault;
+          schedule = Faults.Plan.One_shot { at_event };
+          scope = Faults.Plan.Endpoint Cluster.Topology.dispatcher_id;
+        }
+      in
+      let get ~id =
+        let responses = ref 0 in
+        (match
+           roundtrip ~responses topo backend ~op:Apps.Proto.op_get
+             ~keys:[ k1; k2 ] ~id ()
+         with
+        | Some (rid, [ _; _ ]) -> Alcotest.(check int) "response id" id rid
+        | _ -> Alcotest.fail "bad fan-out response");
+        Alcotest.(check int) "exactly one response" 1 !responses;
+        Cluster.Dispatcher.audit d
+      in
+      (* The last partial's copy arrives after assembly: its fan-out id is
+         stale. *)
+      inject [ rule Faults.Plan.Duplicate 3 ];
+      let a = get ~id:1 in
+      Alcotest.(check int) "orphan counted" 1 a.Cluster.Dispatcher.orphan_partials;
+      Alcotest.(check int) "no dup yet" 0 a.Cluster.Dispatcher.dup_partials;
+      (* The first partial's copy arrives while the other shard's partial
+         is held back, so the fan-out is still pending. The delay rule
+         never saw event 2 (the first rule to fire takes the event), so
+         its second event is event 3. *)
+      inject
+        [
+          rule Faults.Plan.Duplicate 2;
+          rule (Faults.Plan.Delay { extra_ns = 50_000 }) 2;
+        ];
+      let a = get ~id:2 in
+      Alcotest.(check int) "dup counted" 1 a.Cluster.Dispatcher.dup_partials;
+      Alcotest.(check int) "no new orphan" 1 a.Cluster.Dispatcher.orphan_partials;
+      Alcotest.(check int) "partials seen" 6 a.Cluster.Dispatcher.partials;
+      Alcotest.(check int) "fan-outs completed" 2
+        a.Cluster.Dispatcher.fanouts_completed;
+      Alcotest.(check int) "nothing pending" 0 a.Cluster.Dispatcher.in_flight;
+      (* Both surplus frames were released with the rest. *)
+      Alcotest.(check int) "rx frames released" 0
+        (Net.Endpoint.rx_outstanding (Cluster.Dispatcher.endpoint d));
+      Sim.Engine.quiesce (Cluster.Topology.engine topo);
+      Alcotest.(check int) "refsan leaks" 0
+        (List.length (Sanitizer.Refsan.leaks ()));
+      Alcotest.(check int) "refsan hazards" 0 (Sanitizer.Refsan.hazard_count ()))
+
 let suite =
   [
     Alcotest.test_case "ring membership order irrelevant" `Quick
@@ -255,4 +325,6 @@ let suite =
     Alcotest.test_case "fan-out over tcp" `Quick test_fanout_over_tcp;
     Alcotest.test_case "adaptive observations advance" `Quick
       test_adaptive_observations_advance;
+    Alcotest.test_case "audit counts orphan and dup partials" `Quick
+      test_audit_counts_orphan_and_dup_partials;
   ]

@@ -21,7 +21,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("reader", Test_reader.suite);
       ("extensions", Test_extensions.suite);
-      ("segment", Test_segment.suite);
       ("replication", Test_replication.suite);
       ("loadgen", Test_loadgen.suite);
       ("sanitizer", Test_sanitizer.suite);

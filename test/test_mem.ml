@@ -103,10 +103,10 @@ let test_recover_ptr_unpinned_fails () =
   let space, pool = make_pool () in
   let registry = Mem.Registry.create space in
   Mem.Registry.register registry pool;
-  let heap = Mem.Unpinned.of_string space "not pinned" in
+  (* Ordinary heap memory: an address no pinned pool covers (§2.3). *)
+  let heap = Mem.View.of_string space "not pinned" in
   Alcotest.(check bool) "unpinned rejected" true
-    (Mem.Registry.recover_ptr registry ~addr:(Mem.Unpinned.addr heap) ~len:5
-    = None)
+    (Mem.Registry.recover_ptr registry ~addr:heap.Mem.View.addr ~len:5 = None)
 
 let test_recover_ptr_freed_slot_fails () =
   let space, pool = make_pool () in
