@@ -19,9 +19,11 @@
                                                 #   fleet-wide (default 1)
      dune exec bench/main.exe -- --json         # write BENCH_micro.json
                                                 #   (ns/op + minor words/op)
-     dune exec bench/main.exe -- --baseline F   # compare minor words/op to a
-                                                #   committed baseline; exit 1
-                                                #   on any >20% regression *)
+     dune exec bench/main.exe -- --baseline F   # gate words/op and normalized
+                                                #   ns/op (min of 3 passes)
+                                                #   against a committed
+                                                #   baseline; exit 1 on any
+                                                #   >20% regression *)
 
 let hr () = print_endline (String.make 78 '=')
 
@@ -107,19 +109,10 @@ let () =
   in
   let t0 = Unix.gettimeofday () in
   if not (!want_micro && !selected = []) then List.iter run_experiment entries;
-  if !want_micro || !selected = [] then begin
-    (* Gated runs take the min of three wall-clock passes so a single noisy
-       sample can't trip the ns tolerance. *)
-    let rounds = if !baseline <> None then 3 else 1 in
-    let results =
-      Microbench.Suite.run ~rounds ~quick:!quick
-        ~seed:(Option.value !seed ~default:1) ()
-    in
-    if !json then Microbench.Suite.write_json results;
-    match !baseline with
-    | Some path -> Microbench.Suite.gate_against_baseline results ~baseline_path:path
-    | None -> ()
-  end;
+  if !want_micro || !selected = [] then
+    Microbench.Suite.run ~quick:!quick
+      ~seed:(Option.value !seed ~default:1)
+      ~json:!json ~baseline:!baseline;
   if Cornflakes.Config.sanitize () then
     print_endline ("\n" ^ Sanitizer.Report.grand_total_line ());
   Printf.printf "\nAll done in %.1fs.\n" (Unix.gettimeofday () -. t0)

@@ -170,18 +170,15 @@ let bench_cmd =
       & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare minor words/op to a committed baseline (exit 1 on any \
-             >20% regression) and report ns/op deltas.")
+            "Gate against a committed baseline: exit 1 if any tracked \
+             benchmark's minor words/op regresses more than 20%, or its \
+             ns/op (min of three passes) more than 20% after normalizing by \
+             the median now/base ratio.")
   in
   let run quick seed jobs json baseline =
     Par.Pool.set_default_jobs (max 1 jobs);
-    let results =
-      Microbench.Suite.run ~quick ~seed:(Option.value seed ~default:1) ()
-    in
-    if json then Microbench.Suite.write_json results;
-    match baseline with
-    | Some path -> Microbench.Suite.gate_against_baseline results ~baseline_path:path
-    | None -> ()
+    Microbench.Suite.run ~quick ~seed:(Option.value seed ~default:1) ~json
+      ~baseline
   in
   Cmd.v
     (Cmd.info "bench"

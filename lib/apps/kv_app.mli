@@ -6,7 +6,59 @@
     literal views copied at serialization time), and sends a [Resp] with
     the combined serialize-and-send path of the backend. Puts allocate new
     pinned buffers and swap pointers — never updating values in place — per
-    the Cornflakes memory-safety model (§4.1). *)
+    the Cornflakes memory-safety model (§4.1).
+
+    This is the only kv server and client in the repository: a cluster
+    shard runs the same server half over its own cpu, endpoint, store and
+    pool, and the cluster's clients use the same request writer and
+    response-id parser. *)
+
+(** {1 Server half} *)
+
+(** One kv server: the generated [Kv_service] skeleton with its get,
+    get-index and put rows, over one store and pool. *)
+type server
+
+(** [serve ~cpu ~tr loadgen ~space ~backend ~store ~pool] builds the
+    server and installs its handler on [loadgen].
+
+    Get answers one value slot per requested key, in request order; a
+    missed key answers an empty value, so a multi-get response stays
+    positionally aligned with its keys. Get-index answers the indexed
+    element of a vector value, or nothing. Put copies the request values
+    in with {!Kvstore.Store.put_copy}. *)
+val serve :
+  cpu:Memmodel.Cpu.t ->
+  tr:Net.Transport.t ->
+  Loadgen.Server.t ->
+  space:Mem.Addr_space.t ->
+  backend:Backend.t ->
+  store:Kvstore.Store.t ->
+  pool:Mem.Pinned.Pool.t ->
+  server
+
+(** Get keys not found in the store. *)
+val misses : server -> int
+
+(** {1 Client half (uncharged)} *)
+
+(** The request writer and response-id parser over a set of client
+    transports. *)
+type client
+
+val client :
+  space:Mem.Addr_space.t -> backend:Backend.t -> Net.Transport.t list -> client
+
+(** [write_op c op tr ~dst ~id] sends [op] as request [id] from [tr], then
+    recycles [tr]'s arena. *)
+val write_op :
+  client -> Workload.Spec.op -> Net.Transport.t -> dst:int -> id:int -> unit
+
+(** [read_id c buf] parses a response's id ([-1] if absent) and recycles
+    every client arena. *)
+val read_id : client -> Mem.Pinned.Buf.t -> int
+
+(** {1 The app} *)
 
 type t
 
@@ -15,7 +67,8 @@ type t
 val install : Rig.t -> backend:Backend.t -> workload:Workload.Spec.t -> t
 
 (** [switch_backend t backend] reuses the populated store and pool under a
-    different serializer (avoids re-populating between systems). *)
+    different serializer (avoids re-populating between systems). The new
+    server starts with resilience mode off. *)
 val switch_backend : t -> Backend.t -> t
 
 (** Turn on resilience mode: duplicate requests (retransmissions,
@@ -25,8 +78,6 @@ val switch_backend : t -> Backend.t -> t
     side, [send_next] replays the cached op for a retried id instead of
     drawing a fresh one. *)
 val enable_resilience : t -> dedup:Net.Dedup.t -> unit
-
-val dedup : t -> Net.Dedup.t option
 
 (** Duplicate puts suppressed by the dedup window. *)
 val puts_suppressed : t -> int
@@ -46,7 +97,3 @@ val send_next : t -> Net.Transport.t -> dst:int -> id:int -> unit
 
 (** Client-side response-id parser (uncharged; resets the client arena). *)
 val parse_id : t -> Mem.Pinned.Buf.t -> int
-
-(** Values served but not yet reclaimed by puts remain owned by the store;
-    exposed for leak assertions in tests. *)
-val pool : t -> Mem.Pinned.Pool.t

@@ -4,114 +4,20 @@
    through [Net.Transport], so the ownership story StatCheck and RefSan
    verify for a single rig holds per shard by construction.
 
-   The request protocol is the kv [Apps.Proto] schema: the dispatcher's
-   sub-requests are ordinary Req messages whose id is the fan-out id, and
-   partial responses are Resp messages echoing it. Values appended to a
-   get response keep positional alignment with the sub-request's keys
-   (a miss answers an empty value), which is what lets the dispatcher
-   reassemble multi-get responses without re-parsing keys. *)
+   The shard runs [Apps.Kv_app]'s server: the dispatcher's sub-requests
+   are ordinary [Apps.Proto] Req messages whose id is the fan-out id, and
+   partial responses are Resp messages echoing it. A get answers one value
+   slot per key (a miss answers an empty value), which is what lets the
+   dispatcher reassemble multi-get responses without re-parsing keys. *)
 
 type t = {
-  index : int; (* dense 0..n-1, for per-shard report rows *)
   id : int; (* endpoint id on the fabric *)
-  space : Mem.Addr_space.t;
-  cpu : Memmodel.Cpu.t;
   ep : Net.Endpoint.t;
-  tr : Net.Transport.t;
   server : Loadgen.Server.t;
-  backend : Apps.Backend.t;
   store : Kvstore.Store.t;
   pool : Mem.Pinned.Pool.t;
-  (* Generated server skeleton: owns the pooled response and the
-     branchless method-dispatch table ([Get]/[Put] rows registered at
-     create; unregistered methods answer the bare id echo). *)
-  rpc : Apps.Kv_rpc.Kv_service.server;
-  mutable keys_served : int;
-  mutable puts : int;
-  mutable misses : int;
-  mutable drops : int; (* put values dropped on pool exhaustion *)
+  kv : Apps.Kv_app.server;
 }
-
-(* Read a key payload out of a request, charging the byte sweep (the
-   handler must hash/compare them) to App. *)
-let key_string ?cpu (p : Wire.Payload.t) =
-  let v = Wire.Payload.view p in
-  (match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:v.Mem.View.addr
-        ~len:v.Mem.View.len);
-  Mem.View.to_string v
-
-let handle_get t ~cpu req resp =
-  List.iter
-    (fun v ->
-      match v with
-      | Wire.Dyn.Payload p -> (
-          let key = key_string ~cpu p in
-          match Kvstore.Store.get ~cpu t.store ~key with
-          | Some value ->
-              t.keys_served <- t.keys_served + 1;
-              List.iter
-                (fun buf ->
-                  let payload =
-                    t.backend.Apps.Backend.wrap ~cpu t.tr
-                      (Mem.Pinned.Buf.view buf)
-                  in
-                  Wire.Dyn.append resp "vals" (Wire.Dyn.Payload payload))
-                (Kvstore.Store.buffers value)
-          | None ->
-              (* Positional alignment with the sub-request keys must
-                 survive a miss: answer an empty value for this slot. *)
-              t.misses <- t.misses + 1;
-              Wire.Dyn.append resp "vals"
-                (Wire.Dyn.Payload (Wire.Payload.of_string t.space "")))
-      | _ -> ())
-    (Wire.Dyn.get_list req "keys")
-
-let handle_put t ~cpu req =
-  match Wire.Dyn.get_list req "keys" with
-  | [ Wire.Dyn.Payload kp ] ->
-      let key = key_string ~cpu kp in
-      let bufs =
-        List.filter_map
-          (fun v ->
-            match v with
-            | Wire.Dyn.Payload p -> (
-                let src = Wire.Payload.view p in
-                match
-                  Mem.Pinned.Buf.alloc ~cpu ~site:"Shard.put_value" t.pool
-                    ~len:(max 1 src.Mem.View.len)
-                with
-                | buf ->
-                    Mem.Pinned.Buf.blit_from ~cpu ~site:"Shard.put_value" buf
-                      ~src ~dst_off:0;
-                    Some buf
-                | exception Mem.Pinned.Out_of_memory _ ->
-                    t.drops <- t.drops + 1;
-                    None)
-            | _ -> None)
-          (Wire.Dyn.get_list req "vals")
-      in
-      (match bufs with
-      | [] -> ()
-      | [ one ] ->
-          t.puts <- t.puts + 1;
-          Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Single one)
-      | many ->
-          t.puts <- t.puts + 1;
-          Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Linked many))
-  | _ -> ()
-
-(* The request parses once (via the backend), then the generated skeleton
-   takes over: id echo into the pooled response, branchless dispatch on
-   the method word, tail-send. *)
-let handler t ~src buf =
-  let cpu = t.cpu in
-  let req = t.backend.Apps.Backend.recv ~cpu t.tr Apps.Proto.req buf in
-  Apps.Kv_rpc.Kv_service.serve_dyn t.rpc ~src req;
-  Wire.Dyn.release ~cpu req;
-  Mem.Pinned.Buf.decr_ref ~cpu ~site:"Shard.handler_done" buf
 
 let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
     ~index ~id ~pool_classes ~store_capacity =
@@ -130,46 +36,14 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
       ~name:(Printf.sprintf "shard-%d" index)
       ~capacity:store_capacity
   in
-  let rpc =
-    Apps.Kv_rpc.Kv_service.server
-      ~send:(fun ~dst resp -> backend.Apps.Backend.send ~cpu tr ~dst resp)
-      ()
-  in
-  let t =
-    {
-      index;
-      id;
-      space;
-      cpu;
-      ep;
-      tr;
-      server;
-      backend;
-      store;
-      pool;
-      rpc;
-      keys_served = 0;
-      puts = 0;
-      misses = 0;
-      drops = 0;
-    }
-  in
-  Apps.Kv_rpc.Kv_service.on_get rpc
-    ~dyn:(fun ~src:_ req resp -> handle_get t ~cpu req resp);
-  Apps.Kv_rpc.Kv_service.on_put rpc
-    ~dyn:(fun ~src:_ req _resp -> handle_put t ~cpu req);
-  Loadgen.Server.set_handler server (fun ~src buf -> handler t ~src buf);
-  t
+  let kv = Apps.Kv_app.serve ~cpu ~tr server ~space ~backend ~store ~pool in
+  { id; ep; server; store; pool; kv }
 
 let id t = t.id
-
-let index t = t.index
 
 let endpoint t = t.ep
 
 let server t = t.server
-
-let cpu t = t.cpu
 
 let store t = t.store
 
@@ -177,10 +51,4 @@ let pool t = t.pool
 
 let served t = Loadgen.Server.served t.server
 
-let keys_served t = t.keys_served
-
-let puts t = t.puts
-
-let misses t = t.misses
-
-let drops t = t.drops
+let misses t = Apps.Kv_app.misses t.kv

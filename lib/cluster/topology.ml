@@ -20,19 +20,15 @@
 type t = {
   engine : Sim.Engine.t;
   fabric : Net.Fabric.t;
-  space : Mem.Addr_space.t;
   registry : Mem.Registry.t;
-  kind : Apps.Rig.transport_kind;
-  backend : Apps.Backend.t;
   ring : Ring.t;
   shards : Shard.t array;
   dispatchers : Dispatcher.t array;
   clients : Net.Transport.t list;
+  client : Apps.Kv_app.client; (* request writer and response-id parser *)
   rng : Sim.Rng.t;
   zipf : Sim.Dist.Zipf.t;
-  n_keys : int;
   plan_seed : int;
-  req_scratch : Wire.Dyn.t;
   mget_batch : int;
   mget_fraction : float;
   put_fraction : float;
@@ -107,71 +103,39 @@ let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
   {
     engine;
     fabric;
-    space;
     registry;
-    kind;
-    backend;
     ring;
     shards;
     dispatchers;
     clients;
+    client = Apps.Kv_app.client ~space ~backend clients;
     rng = Sim.Rng.create ~seed;
     zipf = Sim.Dist.Zipf.create ~n:n_keys ~s:zipf_s;
-    n_keys;
     plan_seed;
-    req_scratch = Wire.Dyn.create Apps.Proto.req;
     mget_batch;
     mget_fraction;
     put_fraction;
   }
 
-(* --- Client side (uncharged, mirrors Kv_app) --------------------------- *)
-
-let append_key t msg rank =
-  Wire.Dyn.append msg "keys"
-    (Wire.Dyn.Payload (Wire.Payload.of_string t.space (Plan.key_of rank)))
-
 (* Draw one request from a connection's private stream and send it. The op
    mix and Zipf key popularity are functions of that stream alone. *)
 let gen_and_send t crng client ~dst ~id =
-  let msg = t.req_scratch in
-  Wire.Dyn.clear msg;
-  Wire.Dyn.set_int msg "id" (Int64.of_int id);
   let u = Sim.Rng.float crng in
-  if u < t.put_fraction then begin
-    let rank = Sim.Dist.Zipf.sample t.zipf crng in
-    Wire.Dyn.set_int msg "op" Apps.Proto.op_put;
-    append_key t msg rank;
-    Wire.Dyn.append msg "vals"
-      (Wire.Dyn.Payload
-         (Wire.Payload.of_string t.space
-            (Workload.Spec.filler (Plan.size_of ~seed:t.plan_seed rank))))
-  end
-  else begin
-    Wire.Dyn.set_int msg "op" Apps.Proto.op_get;
-    let batch =
-      if u < t.put_fraction +. t.mget_fraction then t.mget_batch else 1
-    in
-    for _ = 1 to batch do
-      append_key t msg (Sim.Dist.Zipf.sample t.zipf crng)
-    done
-  end;
-  t.backend.Apps.Backend.send client ~dst msg;
-  (* Client-side arenas hold per-request copies; recycle them. *)
-  Mem.Arena.reset (Net.Transport.arena client)
+  let op =
+    if u < t.put_fraction then
+      let rank = Sim.Dist.Zipf.sample t.zipf crng in
+      Workload.Spec.Put
+        { key = Plan.key_of rank; sizes = [ Plan.size_of ~seed:t.plan_seed rank ] }
+    else
+      let batch =
+        if u < t.put_fraction +. t.mget_fraction then t.mget_batch else 1
+      in
+      let key _ = Plan.key_of (Sim.Dist.Zipf.sample t.zipf crng) in
+      Workload.Spec.Get { keys = List.init batch key }
+  in
+  Apps.Kv_app.write_op t.client op client ~dst ~id
 
-let parse_id t buf =
-  let msg =
-    t.backend.Apps.Backend.recv (List.hd t.clients) Apps.Proto.resp buf
-  in
-  let id =
-    match Wire.Dyn.get_int msg "id" with
-    | Some id -> Int64.to_int id
-    | None -> -1
-  in
-  Wire.Dyn.release msg;
-  List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) t.clients;
-  id
+let parse_id t buf = Apps.Kv_app.read_id t.client buf
 
 let drive t ~conns ~rate_rps ~duration_ns ~warmup_ns =
   let n_disp = Array.length t.dispatchers in
@@ -195,8 +159,6 @@ let fabric t = t.fabric
 
 let registry t = t.registry
 
-let kind t = t.kind
-
 let ring t = t.ring
 
 let dispatcher t = t.dispatchers.(0)
@@ -204,5 +166,3 @@ let dispatcher t = t.dispatchers.(0)
 let dispatcher_list t = Array.to_list t.dispatchers
 
 let clients t = t.clients
-
-let n_keys t = t.n_keys

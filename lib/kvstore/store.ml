@@ -93,6 +93,24 @@ let put ?cpu t ~key v =
       charge_lookup ?cpu t key meta_addr;
       Hashtbl.replace t.table key { v; meta_addr }
 
+let put_copy ?cpu t ~pool ~key srcs =
+  let copy (src : Mem.View.t) =
+    match
+      Mem.Pinned.Buf.alloc ?cpu ~site:"Store.put_copy" pool
+        ~len:src.Mem.View.len
+    with
+    | buf ->
+        Mem.Pinned.Buf.blit_from ?cpu ~site:"Store.put_copy" buf ~src
+          ~dst_off:0;
+        Some buf
+    | exception Mem.Pinned.Out_of_memory _ -> None
+  in
+  match List.filter_map copy srcs with
+  | [] -> false
+  | bufs ->
+      put ?cpu t ~key (match bufs with [ one ] -> Single one | _ -> Linked bufs);
+      true
+
 let get ?cpu t ~key =
   match Hashtbl.find_opt t.table key with
   | None ->

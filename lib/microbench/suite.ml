@@ -545,7 +545,7 @@ let ns_pass ~quick ~seed () =
    a single noisy sample against a ±20 % tolerance flags phantom
    regressions on small benches. Words/op is deterministic and measured
    once. *)
-let run ?(rounds = 1) ~quick ~seed () =
+let measure ~rounds ~quick ~seed =
   let open Bechamel in
   let benchmarks = make_benchmarks ~seed () in
   let iters = if quick then 5_000 else 20_000 in
@@ -569,7 +569,7 @@ let run ?(rounds = 1) ~quick ~seed () =
         })
       benchmarks
   in
-  for _ = 1 to max 1 rounds do
+  for _ = 1 to rounds do
     let analyzed = ns_pass ~quick ~seed () in
     Hashtbl.iter
       (fun name ols_result ->
@@ -771,3 +771,13 @@ let gate_against_baseline results ~baseline_path =
         end;
         exit 1
       end
+
+(* A gated run takes the min of three wall-clock passes, so one noisy
+   sample can't trip the ns tolerance; an ungated run reports one pass. *)
+let run ~quick ~seed ~json ~baseline =
+  let rounds = if baseline = None then 1 else 3 in
+  let results = measure ~rounds ~quick ~seed in
+  if json then write_json results;
+  Option.iter
+    (fun baseline_path -> gate_against_baseline results ~baseline_path)
+    baseline

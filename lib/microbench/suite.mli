@@ -1,37 +1,21 @@
 (** Bechamel microbenchmarks of the serializer hot paths, shared by
     `bench/main.exe` and the `cornflakes bench` subcommand.
 
-    [run] prints the table and returns the results; ns/op comes from
-    Bechamel (always measured serially), minor words/op from a counted
-    [Gc.minor_words] loop (parallelized across pool jobs when the
-    process-wide [Par.Pool.default_jobs] width is > 1 — each job measures
-    one benchmark on a fresh suite instance, so results are identical at
-    any width). *)
+    ns/op comes from Bechamel (always measured serially), minor words/op
+    from a counted [Gc.minor_words] loop (parallelized across pool jobs
+    when the process-wide [Par.Pool.default_jobs] width is > 1 — each job
+    measures one benchmark on a fresh suite instance, so results are
+    identical at any width). *)
 
-type result = {
-  r_name : string;
-  r_tracked : bool;
-  mutable ns_per_op : float;
-  words_per_op : float;
-}
-
-(** [rounds] (default 1) repeats the wall-clock passes and keeps each
-    benchmark's minimum ns/op estimate — timing noise is strictly
-    additive, so the min is the stable statistic to gate against a
-    relative tolerance. Words/op is deterministic and measured once. *)
-val run : ?rounds:int -> quick:bool -> seed:int -> unit -> result list
-
-val json_file : string
-
-(** Write [json_file] in the committed-baseline schema. *)
-val write_json : result list -> unit
-
-(** [(name, ns_per_op, minor_words_per_op)] triples from a baseline file
-    (dependency-free scanner). *)
-val parse_baseline : string -> (string * float * float) list
-
-(** Report ns/op deltas vs the baseline and exit 1 if any tracked
-    benchmark's minor words/op regressed more than 20%, or its ns/op
-    regressed more than 20% after dividing out the median now/base ratio
-    across tracked benches (machine-speed normalization). *)
-val gate_against_baseline : result list -> baseline_path:string -> unit
+(** [run ~quick ~seed ~json ~baseline] measures every benchmark and prints
+    the table. With [json] it writes [BENCH_micro.json]. With
+    [baseline = Some path] it gates against that committed baseline: ns/op
+    is then the minimum of three wall-clock passes per benchmark (timing
+    noise is strictly additive, so the min is the stable statistic), and
+    the process exits 1 if any tracked benchmark's minor words/op
+    regressed more than 20%, or its ns/op regressed more than 20% after
+    dividing out the median now/base ratio across tracked benches
+    (machine-speed normalization). Words/op is deterministic and measured
+    once. *)
+val run :
+  quick:bool -> seed:int -> json:bool -> baseline:string option -> unit

@@ -135,14 +135,10 @@ let exec_set t ~cpu cmd args =
   | [ key; payload ] -> (
       let key = arg_string ~cpu key in
       match payload with
-      | Resp.Bulk src -> (
-          match Mem.Pinned.Buf.alloc ~cpu t.pool ~len:src.Mem.View.len with
-          | buf ->
-              Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
-              Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Single buf);
-              Resp.Simple "OK"
-          | exception Mem.Pinned.Out_of_memory _ ->
-              Resp.Error "OOM command not allowed")
+      | Resp.Bulk src ->
+          if Kvstore.Store.put_copy ~cpu t.store ~pool:t.pool ~key [ src ] then
+            Resp.Simple "OK"
+          else Resp.Error "OOM command not allowed"
       | _ -> Resp.Error "ERR bad SET payload")
   | _ -> err_unknown ~cpu cmd
 

@@ -99,26 +99,6 @@ let committed t = t.committed
 
 (* --- Shared helpers ----------------------------------------------------- *)
 
-(* Copy op value windows into a replica's own pinned pool and install
-   (allocate-and-swap put). The sources are in-place views of the receive
-   buffer (or parked [Rc_view]s) — one copy into the store, no
-   intermediate. *)
-let apply_put_views ~cpu replica ~key views =
-  let bufs =
-    List.filter_map
-      (fun (src : Mem.View.t) ->
-        match Mem.Pinned.Buf.alloc ~cpu replica.pool ~len:src.Mem.View.len with
-        | buf ->
-            Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
-            Some buf
-        | exception Mem.Pinned.Out_of_memory _ -> None)
-      views
-  in
-  match bufs with
-  | [] -> ()
-  | [ one ] -> Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Single one)
-  | many -> Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Linked many)
-
 (* Collect an op's value windows in place (reader must hold a validated
    [RepOp] level). *)
 let op_val_views r =
@@ -153,8 +133,11 @@ let rec backup_apply_in_order replica ~src =
         | Some rc -> Wire.Rc_view.to_string ~cpu rc
         | None -> ""
       in
-      apply_put_views ~cpu replica ~key
-        (List.map Wire.Rc_view.view parked.pk_vals);
+      (* Allocate-and-swap into the replica's own pool, straight from the
+         parked slices: one copy into the store, no intermediate. *)
+      ignore
+        (Kvstore.Store.put_copy ~cpu replica.store ~pool:replica.pool ~key
+           (List.map Wire.Rc_view.view parked.pk_vals));
       let seq = replica.expected_seq in
       replica.expected_seq <- Int64.add replica.expected_seq 1L;
       (* The store owns its copies now: release the parked slices, then
@@ -286,7 +269,9 @@ let handle_client_request t ~cpu ~src r =
       reply ~cpu t.primary ~dst:src ~id ~vals
     end
     else if kind = kind_put then begin
-      apply_put_views ~cpu t.primary ~key (op_val_views op);
+      ignore
+        (Kvstore.Store.put_copy ~cpu t.primary.store ~pool:t.primary.pool ~key
+           (op_val_views op));
       let seq = t.next_seq in
       t.next_seq <- Int64.add t.next_seq 1L;
       if t.backups = [] then begin

@@ -84,6 +84,34 @@ let test_kv_put_then_get () =
   Sim.Engine.run_all rig.Apps.Rig.engine;
   Alcotest.(check int) "served updated value" 700 !got
 
+let test_kv_get_miss_keeps_positions () =
+  (* A missed key answers an empty value in its slot, so a multi-get's
+     values stay aligned with its keys. *)
+  let backend = Apps.Backend.cornflakes () in
+  let rig = Apps.Rig.create ~n_clients:1 () in
+  let app =
+    Apps.Kv_app.install rig ~backend ~workload:(Workload.Twitter.make ~n_keys:256 ())
+  in
+  let client = List.hd rig.Apps.Rig.clients in
+  let got = ref [] in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      got :=
+        List.filter_map
+          (function Wire.Dyn.Payload p -> Some (Wire.Payload.len p) | _ -> None)
+          (Wire.Dyn.get_list msg "vals");
+      Wire.Dyn.release msg;
+      Mem.Pinned.Buf.decr_ref buf);
+  Apps.Kv_app.send_op app
+    (Workload.Spec.Get { keys = [ "tw:no-such-key"; "tw:0000000000000005" ] })
+    client ~dst:Apps.Rig.server_id ~id:3;
+  Sim.Engine.run_all rig.Apps.Rig.engine;
+  match !got with
+  | [ 0; n ] when n > 0 -> ()
+  | lens ->
+      Alcotest.failf "expected [0; n > 0], got [%s]"
+        (String.concat "; " (List.map string_of_int lens))
+
 let test_open_loop_latency_reasonable () =
   let backend = Apps.Backend.cornflakes () in
   let rig = Apps.Rig.create ~n_clients:4 () in
@@ -191,6 +219,8 @@ let suite =
     Alcotest.test_case "kv responses carry values" `Quick
       test_kv_responses_carry_values;
     Alcotest.test_case "kv put then get" `Quick test_kv_put_then_get;
+    Alcotest.test_case "kv get miss keeps positions" `Quick
+      test_kv_get_miss_keeps_positions;
     Alcotest.test_case "open loop latency" `Quick test_open_loop_latency_reasonable;
     Alcotest.test_case "open loop overload" `Quick test_open_loop_overload_detected;
     Alcotest.test_case "echo modes roundtrip" `Slow test_echo_modes_roundtrip;

@@ -95,6 +95,43 @@ let test_remove () =
   Alcotest.(check bool) "buffer released" false (Mem.Pinned.Buf.is_live buf);
   Alcotest.(check int) "empty" 0 (Kvstore.Store.size store)
 
+let drain pool ~len =
+  let rec go acc =
+    match Mem.Pinned.Buf.alloc pool ~len with
+    | b -> go (b :: acc)
+    | exception Mem.Pinned.Out_of_memory _ -> acc
+  in
+  go []
+
+let test_put_copy_installs_copies () =
+  let space, pool, store = make () in
+  let srcs = List.map (Mem.View.of_string space) [ "one"; "two" ] in
+  Alcotest.(check bool) "installed" true
+    (Kvstore.Store.put_copy store ~pool ~key:"k" srcs);
+  match Kvstore.Store.get store ~key:"k" with
+  | Some (Kvstore.Store.Linked [ a; b ]) ->
+      Alcotest.(check (list string)) "copied bytes" [ "one"; "two" ]
+        (List.map (fun b -> Mem.View.to_string (Mem.Pinned.Buf.view b)) [ a; b ])
+  | _ -> Alcotest.fail "expected a two-buffer linked value"
+
+let test_put_copy_on_exhausted_class () =
+  (* The put's size class has no free slot: the copy-in must drop the put,
+     leaving the old value installed and the pool untouched. *)
+  let space, pool, store = make () in
+  Kvstore.Store.put store ~key:"k" (value_of pool "old");
+  let held = drain pool ~len:700 in
+  let live = Mem.Pinned.Pool.live pool in
+  Alcotest.(check bool) "nothing installed" false
+    (Kvstore.Store.put_copy store ~pool ~key:"k"
+       [ Mem.View.of_string space (String.make 700 'n') ]);
+  Alcotest.(check int) "live count unchanged" live (Mem.Pinned.Pool.live pool);
+  (match Kvstore.Store.get store ~key:"k" with
+  | Some (Kvstore.Store.Single buf) ->
+      Alcotest.(check string) "old value kept" "old"
+        (Mem.View.to_string (Mem.Pinned.Buf.view buf))
+  | _ -> Alcotest.fail "old value lost");
+  List.iter Mem.Pinned.Buf.decr_ref held
+
 let test_get_charges_more_when_cold () =
   (* The store's metadata lives in simulated memory: a key miss after a
      large sweep costs more than a hot re-read. *)
@@ -155,6 +192,10 @@ let suite =
     Alcotest.test_case "put honours readers" `Quick test_put_does_not_free_referenced;
     Alcotest.test_case "linked and vector values" `Quick test_linked_and_vector_values;
     Alcotest.test_case "remove" `Quick test_remove;
+    Alcotest.test_case "put_copy installs copies" `Quick
+      test_put_copy_installs_copies;
+    Alcotest.test_case "put_copy on exhausted class" `Quick
+      test_put_copy_on_exhausted_class;
     Alcotest.test_case "cold get costs more" `Quick test_get_charges_more_when_cold;
     QCheck_alcotest.to_alcotest qcheck_store_model;
   ]

@@ -106,6 +106,30 @@ let test_native_get_and_set () =
     (fun s -> Alcotest.(check string) "get" "$11\r\nfresh-value\r\n" s)
     [ "GET"; "newkey" ]
 
+let test_native_set_on_exhausted_pool () =
+  (* Fill every free slot of the value pool: SET must refuse with Redis's
+     OOM error and leave the old value in place. *)
+  let rig, srv = redis_rig Mini_redis.Server.Native in
+  let pool =
+    List.find
+      (fun p -> String.starts_with ~prefix:"redis-" (Mem.Pinned.Pool.name p))
+      (Mem.Registry.pools rig.Apps.Rig.registry)
+  in
+  let rec drain acc =
+    match Mem.Pinned.Buf.alloc pool ~len:2048 with
+    | b -> drain (b :: acc)
+    | exception Mem.Pinned.Out_of_memory _ -> acc
+  in
+  let held = drain [] in
+  one_command rig
+    (fun s ->
+      Alcotest.(check string) "oom" "-OOM command not allowed\r\n" s)
+    [ "SET"; key1; "fresh-value" ];
+  (match Kvstore.Store.get (Mini_redis.Server.store srv) ~key:key1 with
+  | Some v -> Alcotest.(check int) "old value kept" 4096 (Kvstore.Store.value_len v)
+  | None -> Alcotest.fail "SET removed the key");
+  List.iter Mem.Pinned.Buf.decr_ref held
+
 let test_native_mget_with_missing () =
   let rig, _srv = redis_rig Mini_redis.Server.Native in
   one_command rig
@@ -204,6 +228,8 @@ let suite =
     Alcotest.test_case "resp rejects malformed" `Quick test_resp_rejects_malformed;
     Alcotest.test_case "native lrange" `Quick test_native_lrange;
     Alcotest.test_case "native get/set" `Quick test_native_get_and_set;
+    Alcotest.test_case "native set on exhausted pool" `Quick
+      test_native_set_on_exhausted_pool;
     Alcotest.test_case "native mget with missing" `Quick test_native_mget_with_missing;
     Alcotest.test_case "unknown command errors" `Quick test_unknown_command_errors;
     Alcotest.test_case "cornflakes-backed replies" `Quick test_cornflakes_mode_replies;
