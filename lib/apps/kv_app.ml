@@ -150,6 +150,10 @@ type client = {
      over any zero-copy references at send, so a [Dyn.clear] (not
      [reset]) between uses is the correct ownership move. *)
   scratch : Wire.Dyn.t;
+  (* Put values are windows over this buffer of filler bytes. Its contents
+     never change once built; a longer value swaps in a longer copy. Per
+     client, since rigs on different domains each have their own. *)
+  mutable pattern : Bytes.t;
 }
 
 let client ~space ~backend transports =
@@ -158,7 +162,22 @@ let client ~space ~backend transports =
     c_backend = backend;
     transports;
     scratch = Wire.Dyn.create Proto.req;
+    pattern = Bytes.empty;
   }
+
+(* A put value of [max 1 n] filler bytes at fresh simulated addresses:
+   what [Wire.Payload.of_string space (filler n)] builds, minus the copies. *)
+let put_value c n =
+  let n = max 1 n in
+  if n > Bytes.length c.pattern then begin
+    let b = Bytes.create (max n (2 * Bytes.length c.pattern)) in
+    Workload.Spec.blit_pattern b ~off:0 ~len:(Bytes.length b);
+    c.pattern <- b
+  end;
+  Wire.Payload.Literal
+    (Mem.View.make
+       ~addr:(Mem.Addr_space.reserve c.c_space ~bytes:n)
+       ~data:c.pattern ~off:0 ~len:n)
 
 let write_op c op tr ~dst ~id =
   let msg = c.scratch in
@@ -180,11 +199,7 @@ let write_op c op tr ~dst ~id =
       Wire.Dyn.set_int msg "op" Proto.op_put;
       add_key key;
       List.iter
-        (fun n ->
-          Wire.Dyn.append msg "vals"
-            (Wire.Dyn.Payload
-               (Wire.Payload.of_string c.c_space
-                  (Workload.Spec.filler (max 1 n)))))
+        (fun n -> Wire.Dyn.append msg "vals" (Wire.Dyn.Payload (put_value c n)))
         sizes);
   c.c_backend.Backend.send tr ~dst msg;
   (* Client-side arenas hold per-request copies; recycle them. *)

@@ -67,7 +67,6 @@ let install items shard =
   List.iter
     (fun { rank; size } ->
       let buf = Mem.Pinned.Buf.alloc ~site:"Cluster.populate" pool ~len:size in
-      Mem.Pinned.Buf.fill ~site:"Cluster.populate" buf
-        (Workload.Spec.filler size);
+      Workload.Spec.fill_pattern ~site:"Cluster.populate" buf;
       Kvstore.Store.put store ~key:(key_of rank) (Kvstore.Store.Single buf))
     items

@@ -8,11 +8,21 @@ exception
 
 exception Out_of_memory of string
 
+(* Host bytes per chunk. A class's simulated data range is reserved whole
+   up front, but its real bytes are materialised one chunk at a time, on the
+   first pop of a slot in that chunk; the LIFO free stack hands out low
+   slots first, so a class only ever backs its high-water mark of live
+   slots. A slot larger than a chunk gets a chunk of its own. *)
+let chunk_bytes = 256 * 1024
+
 type size_class = {
   size : int; (* power-of-two buffer size *)
   capacity : int;
   data_base : int; (* simulated address of slot 0 *)
-  backing : Bytes.t; (* capacity * size real bytes *)
+  chunk_shift : int; (* log2 of the slots per chunk *)
+  chunks : Bytes.t array;
+      (* chunk [i] backs slots [i lsl chunk_shift] onward; [Bytes.empty]
+         until one of them is first allocated *)
   meta_base : int; (* simulated address of refcount 0 (8 B per slot) *)
   refcounts : int array;
   gens : int array;
@@ -33,6 +43,8 @@ module Pool = struct
   type t = pool
 
   let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
   let create space ~name ~classes =
     if classes = [] then invalid_arg "Pinned.Pool.create: no classes";
@@ -58,11 +70,13 @@ module Pool = struct
       if data_base + (size * capacity) > !limit then
         limit := data_base + (size * capacity);
       let free = Array.init capacity (fun i -> capacity - 1 - i) in
+      let per_chunk = max 1 (chunk_bytes / size) in
       {
         size;
         capacity;
         data_base;
-        backing = Bytes.create (size * capacity);
+        chunk_shift = log2 per_chunk;
+        chunks = Array.make (((capacity - 1) / per_chunk) + 1) Bytes.empty;
         meta_base;
         refcounts = Array.make capacity 0;
         gens = Array.make capacity 0;
@@ -134,6 +148,15 @@ module Buf = struct
 
   let sc t = t.pool.classes.(t.cls)
 
+  (* The chunk holding [t]'s slot, and the window start within it. *)
+  let chunk t =
+    let c = sc t in
+    c.chunks.(t.slot lsr c.chunk_shift)
+
+  let chunk_off t =
+    let c = sc t in
+    ((t.slot land ((1 lsl c.chunk_shift) - 1)) * c.size) + t.off
+
   (* RefSan plumbing: the ledger check costs one boolean read when off. *)
 
   let san_on () = Sanitizer.Refsan.is_enabled ()
@@ -203,6 +226,12 @@ module Buf = struct
                (Printf.sprintf "%s: class %d exhausted" pool.name c.size));
         c.free_top <- c.free_top - 1;
         let slot = c.free.(c.free_top) in
+        let ci = slot lsr c.chunk_shift in
+        if c.chunks.(ci) == Bytes.empty then begin
+          let first = ci lsl c.chunk_shift in
+          let slots = min (1 lsl c.chunk_shift) (c.capacity - first) in
+          c.chunks.(ci) <- Bytes.create (slots * c.size)
+        end;
         c.refcounts.(slot) <- 1;
         let t = { pool; cls; slot; gen = c.gens.(slot); off = 0; len } in
         if san_on () then Sanitizer.Refsan.on_alloc ~id:(san_id t) ~site;
@@ -248,35 +277,29 @@ module Buf = struct
 
   let view t =
     check_live ~site:"Pinned.view" ~op:`Read t;
-    let c = sc t in
-    View.make ~addr:(addr t) ~data:c.backing
-      ~off:((t.slot * c.size) + t.off)
-      ~len:t.len
+    View.make ~addr:(addr t) ~data:(chunk t) ~off:(chunk_off t) ~len:t.len
 
-  (* Allocation-free window access for per-send hot paths: the backing bytes
-     plus the window's start offset within them, without materialising a
-     [View]. Callers must stay within [len t] bytes from [backing_off]. *)
+  (* Allocation-free window access for per-send hot paths: the chunk holding
+     the slot plus the window's start offset within it, without
+     materialising a [View]. Callers must stay within [len t] bytes from
+     [backing_off]. *)
   let backing t =
     check_live ~site:"Pinned.backing" ~op:`Read t;
-    (sc t).backing
+    chunk t
 
-  let backing_off t = (t.slot * (sc t).size) + t.off
+  let backing_off t = chunk_off t
 
   let sub_view ?(site = "Pinned.sub_view") t ~off ~len =
     check_live ~site ~op:`Read t;
     if off < 0 || len < 0 || t.off + off + len > slot_size t then
       invalid_arg "Pinned.Buf.sub_view: window out of bounds";
-    let c = sc t in
-    View.make ~addr:(addr t + off) ~data:c.backing
-      ~off:((t.slot * c.size) + t.off + off)
-      ~len
+    View.make ~addr:(addr t + off) ~data:(chunk t) ~off:(chunk_off t + off) ~len
 
   (* Copy the window out into [dst] (device DMA gather): a read, so no
      RefSan write event, and no intermediate [View]. *)
   let blit_to ?(site = "Pinned.blit_to") t ~dst ~dst_off =
     check_live ~site ~op:`Read t;
-    let c = sc t in
-    Bytes.blit c.backing ((t.slot * c.size) + t.off) dst dst_off t.len
+    Bytes.blit (chunk t) (chunk_off t) dst dst_off t.len
 
   let sub ?(site = "Pinned.sub") t ~off ~len =
     check_live ~site ~op:`Read t;
@@ -329,9 +352,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if String.length s > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill: string too long";
-    let c = sc t in
-    Bytes.blit_string s 0 c.backing ((t.slot * c.size) + t.off)
-      (String.length s);
+    Bytes.blit_string s 0 (chunk t) (chunk_off t) (String.length s);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len:(String.length s) ~via_cow:false ~site;
@@ -347,8 +368,7 @@ module Buf = struct
       invalid_arg "Pinned.Buf.fill_substring: source out of bounds";
     if len > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill_substring: string too long";
-    let c = sc t in
-    Bytes.blit_string s src_off c.backing ((t.slot * c.size) + t.off) len;
+    Bytes.blit_string s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
@@ -365,8 +385,7 @@ module Buf = struct
       invalid_arg "Pinned.Buf.fill_subbytes: source out of bounds";
     if len > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill_subbytes: source too long";
-    let c = sc t in
-    Bytes.blit s src_off c.backing ((t.slot * c.size) + t.off) len;
+    Bytes.blit s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
@@ -378,8 +397,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if dst_off < 0 || t.off + dst_off + src.View.len > slot_size t then
       invalid_arg "Pinned.Buf.blit_from: out of bounds";
-    let c = sc t in
-    View.blit src ~dst:c.backing ~dst_off:((t.slot * c.size) + t.off + dst_off);
+    View.blit src ~dst:(chunk t) ~dst_off:(chunk_off t + dst_off);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t + dst_off) ~len:src.View.len ~via_cow:false ~site;

@@ -11,6 +11,12 @@
     - a generation counter: any access through a stale handle raises
       [Use_after_free], which is how tests prove the safety property.
 
+    Each class reserves its whole simulated data range when the pool is
+    created, but its host bytes come in fixed 256 KiB chunks (one slot per
+    chunk when the slot is larger), each created on the first allocation of
+    a slot in it. Slots never straddle chunks, and a class only backs its
+    high-water mark of live slots.
+
     Every mutating entry point takes an optional [?site] label. When the
     RefSan sanitizer is enabled ([CF_SANITIZE=1] or
     [Sanitizer.Refsan.set_enabled true]), each operation is mirrored into a
@@ -94,11 +100,13 @@ module Buf : sig
       Raises [Use_after_free] on a stale handle. *)
   val view : t -> View.t
 
-  (** Allocation-free window access for per-send hot paths: the backing
-      bytes plus the window's start offset within them, without
-      materialising a [View]. Callers must stay within [len t] bytes from
-      [backing_off t]. [backing] raises [Use_after_free] on a stale
-      handle. *)
+  (** Allocation-free window access for per-send hot paths: the host chunk
+      holding the buffer's slot plus the window's start offset within that
+      chunk, without materialising a [View]. Use the two only as a pair;
+      the offset is chunk-relative and says nothing about the simulated
+      address, which is {!addr} as before. Callers must stay within
+      [len t] bytes from [backing_off t]. [backing] raises
+      [Use_after_free] on a stale handle. *)
   val backing : t -> Bytes.t
 
   val backing_off : t -> int

@@ -19,21 +19,33 @@ let pattern =
   done;
   Buffer.contents b
 
+(* Write [len] bytes of the repeating pattern into [dst] at [off]. *)
+let blit_pattern dst ~off ~len =
+  let plen = String.length pattern in
+  let rec go i =
+    if i < len then begin
+      let chunk = min plen (len - i) in
+      Bytes.blit_string pattern 0 dst (off + i) chunk;
+      go (i + chunk)
+    end
+  in
+  go 0
+
 let filler n =
   if n <= 0 then ""
   else begin
     let b = Bytes.create n in
-    let plen = String.length pattern in
-    let rec fill off =
-      if off < n then begin
-        let chunk = min plen (n - off) in
-        Bytes.blit_string pattern 0 b off chunk;
-        fill (off + chunk)
-      end
-    in
-    fill 0;
+    blit_pattern b ~off:0 ~len:n;
     Bytes.unsafe_to_string b
   end
+
+(* The bytes and the single RefSan write event of
+   [Buf.fill ~site buf (filler (Buf.len buf))], with no intermediate string. *)
+let fill_pattern ~site buf =
+  let len = Mem.Pinned.Buf.len buf in
+  blit_pattern (Mem.Pinned.Buf.backing buf)
+    ~off:(Mem.Pinned.Buf.backing_off buf) ~len;
+  Mem.Pinned.Buf.note_write ~site buf ~off:0 ~len
 
 let class_of n =
   let rec go c = if c >= n then c else go (c * 2) in
@@ -41,7 +53,7 @@ let class_of n =
 
 let alloc_buf pool n =
   let buf = Mem.Pinned.Buf.alloc ~site:"Workload.populate" pool ~len:(max 1 n) in
-  Mem.Pinned.Buf.fill ~site:"Workload.populate" buf (filler (max 1 n));
+  fill_pattern ~site:"Workload.populate" buf;
   buf
 
 let alloc_value pool ~repr sizes =

@@ -29,8 +29,20 @@ val alloc_value :
   int list ->
   Kvstore.Store.value
 
+(** [alloc_buf pool n] allocates a pinned buffer of [max 1 n] bytes holding
+    [filler (max 1 n)] (RefSan site [Workload.populate]). *)
+val alloc_buf : Mem.Pinned.Pool.t -> int -> Mem.Pinned.Buf.t
+
 (** [filler n] is a deterministic printable string of length [n]. *)
 val filler : int -> string
+
+(** [blit_pattern dst ~off ~len] writes [filler len] into [dst] at [off]
+    without building the string. *)
+val blit_pattern : Bytes.t -> off:int -> len:int -> unit
+
+(** [fill_pattern ~site buf] writes [filler (Buf.len buf)] over the buffer's
+    visible window in place, recorded as one RefSan write at [site]. *)
+val fill_pattern : site:string -> Mem.Pinned.Buf.t -> unit
 
 (** Round a byte size up to the pool's power-of-two class (min 64). *)
 val class_of : int -> int

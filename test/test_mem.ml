@@ -130,6 +130,70 @@ let test_recover_ptr_straddle_fails () =
        ~len:64
     = None)
 
+(* A class whose host bytes span several lazily created chunks: every slot
+   reads back its own bytes through each accessor, and simulated addresses
+   keep the flat [base + slot * size] layout. *)
+let test_chunk_boundaries () =
+  let check_class ~size ~capacity =
+    let space, pool = make_pool ~classes:[ (size, capacity) ] () in
+    let registry = Mem.Registry.create space in
+    Mem.Registry.register registry pool;
+    (* A fresh pool hands out slots 0, 1, 2, ... in order. *)
+    let bufs = Array.init capacity (fun _ -> Mem.Pinned.Buf.alloc pool ~len:size) in
+    let contents i = String.init size (fun j -> Char.chr (((i * 37) + j) land 0xff)) in
+    let probe = [ 0; 1; capacity / 2; capacity - 2; capacity - 1 ] in
+    List.iter (fun i -> Mem.Pinned.Buf.fill bufs.(i) (contents i)) probe;
+    List.iter
+      (fun i ->
+        let b = bufs.(i) and want = contents i in
+        let label what = Printf.sprintf "%d B slot %d: %s" size i what in
+        Alcotest.(check int) (label "addr")
+          (Mem.Pinned.Pool.base pool + (i * size))
+          (Mem.Pinned.Buf.addr b);
+        Alcotest.(check string) (label "view") want
+          (Mem.View.to_string (Mem.Pinned.Buf.view b));
+        Alcotest.(check string) (label "sub_view") (String.sub want 5 9)
+          (Mem.View.to_string (Mem.Pinned.Buf.sub_view b ~off:5 ~len:9));
+        let dst = Bytes.create (size + 3) in
+        Mem.Pinned.Buf.blit_to b ~dst ~dst_off:3;
+        Alcotest.(check string) (label "blit_to") want (Bytes.sub_string dst 3 size);
+        Alcotest.(check string) (label "backing") want
+          (Bytes.sub_string (Mem.Pinned.Buf.backing b)
+             (Mem.Pinned.Buf.backing_off b) size);
+        match
+          Mem.Registry.recover_ptr registry
+            ~addr:(Mem.Pinned.Buf.addr b + size - 4)
+            ~len:4
+        with
+        | None -> Alcotest.fail (label "recover")
+        | Some r ->
+            Alcotest.(check string) (label "recover") (String.sub want (size - 4) 4)
+              (Mem.View.to_string (Mem.Pinned.Buf.view r));
+            Mem.Pinned.Buf.decr_ref r)
+      probe
+  in
+  (* 64 KiB slots: four per chunk, three chunks. *)
+  check_class ~size:65536 ~capacity:12;
+  (* 512 KiB slots: larger than a chunk, one chunk each. *)
+  check_class ~size:524288 ~capacity:3
+
+(* Pool host bytes follow use: an endpoint's pools reserve their simulated
+   ranges up front but allocate no backing until a slot is popped. *)
+let test_endpoint_heap_growth () =
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let registry = Mem.Registry.create (Mem.Addr_space.create ()) in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let grown_mb =
+    float_of_int (((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8))
+    /. 1048576.
+  in
+  ignore (Sys.opaque_identity ep);
+  if grown_mb >= 8.0 then
+    Alcotest.failf "Endpoint.create grew the heap by %.1f MB (bound 8 MB)" grown_mb
+
 let test_arena_copy_and_reset () =
   let space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create space ~capacity:1024 in
@@ -280,6 +344,8 @@ let suite =
     Alcotest.test_case "recover_ptr rejects unpinned" `Quick test_recover_ptr_unpinned_fails;
     Alcotest.test_case "recover_ptr rejects freed slot" `Quick test_recover_ptr_freed_slot_fails;
     Alcotest.test_case "recover_ptr rejects straddle" `Quick test_recover_ptr_straddle_fails;
+    Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
+    Alcotest.test_case "endpoint heap growth" `Quick test_endpoint_heap_growth;
     Alcotest.test_case "arena copy and reset" `Quick test_arena_copy_and_reset;
     Alcotest.test_case "arena exhaustion" `Quick test_arena_exhaustion;
     Alcotest.test_case "arena recycle reuses chunk" `Quick

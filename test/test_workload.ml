@@ -47,6 +47,23 @@ let test_ycsb_populate_and_serve () =
     | _ -> Alcotest.fail "expected get"
   done
 
+(* Populate writes the fill pattern straight into the pinned buffer, which
+   must then hold exactly [filler n], across pattern and chunk lengths. *)
+let test_alloc_buf_holds_filler () =
+  let space = Mem.Addr_space.create () in
+  let pool =
+    Mem.Pinned.Pool.create space ~name:"wl"
+      ~classes:[ (256, 4); (512, 2); (8192, 2); (524288, 2) ]
+  in
+  List.iter
+    (fun n ->
+      let buf = Workload.Spec.alloc_buf pool n in
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes" n)
+        (Workload.Spec.filler n)
+        (Mem.View.to_string (Mem.Pinned.Buf.view buf)))
+    [ 1; 255; 256; 257; 8192; 262145 ]
+
 let test_google_size_distribution () =
   let dist = Sim.Dist.Discrete.create Workload.Google.size_points in
   let r = rng () in
@@ -156,6 +173,7 @@ let suite =
     Alcotest.test_case "ycsb shape" `Quick test_ycsb_shape;
     Alcotest.test_case "ycsb multiget" `Quick test_ycsb_multiget;
     Alcotest.test_case "ycsb populate/serve" `Quick test_ycsb_populate_and_serve;
+    Alcotest.test_case "alloc_buf holds filler" `Quick test_alloc_buf_holds_filler;
     Alcotest.test_case "google size distribution" `Slow test_google_size_distribution;
     Alcotest.test_case "google respects mtu" `Quick test_google_respects_mtu;
     Alcotest.test_case "twitter statistics" `Slow test_twitter_statistics;
