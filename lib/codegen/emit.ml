@@ -485,8 +485,8 @@ let emit_service schema buf (s : Schema.Desc.service) =
     methods;
   Printf.bprintf buf
     "  (* Client call state over this service's response envelope. *)\n\
-    \  let client ?config ?engine ?reliab tr =\n\
-    \    Rpc.Client.create ?config ?engine ?reliab ~resp:%s.desc tr\n\n"
+    \  let client ?config ?retry tr =\n\
+    \    Rpc.Client.create ?config ?retry ~resp:%s.desc tr\n\n"
     resp_mod;
   Array.iter
     (fun (m : Schema.Desc.method_) ->
@@ -495,17 +495,16 @@ let emit_service schema buf (s : Schema.Desc.service) =
         Printf.bprintf buf
           "  (* Typed stub for %s (streamed): stamps the call id and method\n\
           \     word into a caller-built request, then sends through the\n\
-          \     folded writer — via the retry layer when the client carries\n\
-          \     one. Declared deadline defaults in. *)\n\
+          \     folded writer — again on each retransmission when the\n\
+          \     client retries. Declared deadline defaults in. *)\n\
           \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_chunk ~on_done =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
           \    Rpc.Client.call_stream c ?deadline_ms\n\
-          \      ~prepare:(fun id ->\n\
+          \      ~send:(fun id ->\n\
           \        %s.set_id req (Int64.of_int id);\n\
-          \        %s.set_op req id_%s)\n\
-          \      ~send:(fun () ->\n\
+          \        %s.set_op req id_%s;\n\
           \        %s.send ?cpu (Rpc.Client.config c) (Rpc.Client.transport c)\n\
           \          ~dst req)\n\
           \      ~on_chunk ~on_done ()\n\n"
@@ -514,17 +513,16 @@ let emit_service schema buf (s : Schema.Desc.service) =
         Printf.bprintf buf
           "  (* Typed stub for %s: stamps the call id and method word into a\n\
           \     caller-built request, then sends through the folded writer —\n\
-          \     via the retry layer when the client carries one. Declared\n\
-          \     deadline defaults in. *)\n\
+          \     again on each retransmission when the client retries.\n\
+          \     Declared deadline defaults in. *)\n\
           \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_reply =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
           \    Rpc.Client.call c ?deadline_ms\n\
-          \      ~prepare:(fun id ->\n\
+          \      ~send:(fun id ->\n\
           \        %s.set_id req (Int64.of_int id);\n\
-          \        %s.set_op req id_%s)\n\
-          \      ~send:(fun () ->\n\
+          \        %s.set_op req id_%s;\n\
           \        %s.send ?cpu (Rpc.Client.config c) (Rpc.Client.transport c)\n\
           \          ~dst req)\n\
           \      ~on_reply ()\n\n"

@@ -107,8 +107,9 @@ let run_point ~idx ~loss =
   let inj = Faults.Injector.create plan in
   if plan.Faults.Plan.rules <> [] then Apps.Rig.inject_faults rig inj;
   let reliab =
-    Net.Reliab.create ~config:reliab_config rig.Apps.Rig.engine
-      ~rng:(Sim.Rng.split rig.Apps.Rig.rng)
+    Net.Reliab.create
+      ~retry:(reliab_config, Sim.Rng.split rig.Apps.Rig.rng)
+      rig.Apps.Rig.engine
   in
   Net.Reliab.set_reaper reliab (fun () -> ignore (Apps.Rig.reap_lost rig));
   let d = Kv_bench.driver app in
@@ -315,8 +316,9 @@ let replay_summary ~plan =
   let inj = Faults.Injector.create plan in
   Apps.Rig.inject_faults rig inj;
   let reliab =
-    Net.Reliab.create ~config:reliab_config rig.Apps.Rig.engine
-      ~rng:(Sim.Rng.split rig.Apps.Rig.rng)
+    Net.Reliab.create
+      ~retry:(reliab_config, Sim.Rng.split rig.Apps.Rig.rng)
+      rig.Apps.Rig.engine
   in
   Net.Reliab.set_reaper reliab (fun () -> ignore (Apps.Rig.reap_lost rig));
   let d = Kv_bench.driver app in

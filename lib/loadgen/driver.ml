@@ -30,69 +30,51 @@ type ctx = {
   mutable sent : int;
   mutable completed : int;
   mutable resp_bytes : int;
-  mutable next_id : int;
-  pending : (int, int) Hashtbl.t; (* id -> send time, when parse_id given *)
-  reliab : Net.Reliab.t option;
-  retries0 : int; (* reliab counter baselines, for per-run deltas *)
+  table : int Net.Reliab.t; (* id -> send time *)
+  retries0 : int; (* table counter baselines, for per-run deltas *)
   give_ups0 : int;
 }
 
-let fresh_id ctx =
-  let id = ctx.next_id in
-  ctx.next_id <- ctx.next_id + 1;
-  id
+(* The send time of the call [id] answers, or -1 when no call is waiting
+   on it: a duplicate response (retransmitted request, fabric-duplicated
+   frame) finds no entry, so each request completes once. *)
+let ack ctx id = match Net.Reliab.ack ctx.table id with t -> t | exception Not_found -> -1
 
-(* Install the response handler on a client endpoint. [fifo] is this
-   client's in-order queue when id parsing is not available. [on_complete]
-   lets the closed-loop driver issue a follow-up request. *)
-let install_rx ctx client ~parse_id ~fifo ~on_complete =
+(* How a client's responses find their request: by the id a parser reads
+   from the payload, or, for protocols whose responses carry none (RESP),
+   by a queue of ids in send order. *)
+type matcher = By_id of (Mem.Pinned.Buf.t -> int) | Fifo of int Queue.t
+
+let matcher parse_id = match parse_id with Some p -> By_id p | None -> Fifo (Queue.create ())
+
+(* Install the response handler on a client endpoint. [on_complete] lets
+   the closed-loop driver issue a follow-up request. *)
+let install_rx ctx client m ~on_complete =
   Net.Transport.set_rx client (fun ~src:_ buf ->
       let now = Sim.Engine.now ctx.engine in
       let send_ns =
-        match parse_id with
-        | Some parse -> begin
-            match parse buf with
-            | id ->
-                (* Acknowledge first: a duplicate response (retransmitted
-                   request, fabric-duplicated frame) acks as `Duplicate`
-                   and finds no pending entry, so it is counted once. *)
-                (match ctx.reliab with
-                | Some r -> ignore (Net.Reliab.ack r ~id)
-                | None -> ());
-                let t = Hashtbl.find_opt ctx.pending id in
-                (match t with Some _ -> Hashtbl.remove ctx.pending id | None -> ());
-                t
-            | exception _ -> None
-          end
-        | None -> Queue.take_opt fifo
+        match m with
+        | By_id parse -> ( match parse buf with id -> ack ctx id | exception _ -> -1)
+        | Fifo q -> if Queue.is_empty q then -1 else ack ctx (Queue.take q)
       in
-      (match send_ns with
-      | Some t when t >= ctx.warmup_abs && now <= ctx.end_abs ->
-          ctx.completed <- ctx.completed + 1;
-          ctx.resp_bytes <- ctx.resp_bytes + Mem.Pinned.Buf.len buf;
-          Stats.Histogram.record ctx.hist (now - t)
-      | Some _ | None -> ());
+      if send_ns >= ctx.warmup_abs && now <= ctx.end_abs then begin
+        ctx.completed <- ctx.completed + 1;
+        ctx.resp_bytes <- ctx.resp_bytes + Mem.Pinned.Buf.len buf;
+        Stats.Histogram.record ctx.hist (now - send_ns)
+      end;
       Mem.Pinned.Buf.decr_ref ~site:"Driver.response_done" buf;
       on_complete ())
 
-let issue ?(on_give_up = fun () -> ()) ctx client ~server ~send ~parse_id ~fifo =
-  let id = fresh_id ctx in
-  let now = Sim.Engine.now ctx.engine in
-  (match parse_id with
-  | Some _ -> Hashtbl.replace ctx.pending id now
-  | None -> Queue.add now fifo);
+(* The one issue path of all three loops: the table assigns the id, keeps
+   the send time under it and sends (retrying if the table was created to). *)
+let issue ctx m ~send ~give_up =
   ctx.sent <- ctx.sent + 1;
-  match ctx.reliab with
-  | None -> send client ~dst:server ~id
-  | Some r ->
-      Net.Reliab.track r ~id
-        ~send:(fun () -> send client ~dst:server ~id)
-        ~give_up:(fun () ->
-          Hashtbl.remove ctx.pending id;
-          on_give_up ())
+  let id = Net.Reliab.call ctx.table (Sim.Engine.now ctx.engine) ~send ~give_up in
+  match m with Fifo q -> Queue.add id q | By_id _ -> ()
 
-let make_ctx ?reliab engine ~duration_ns ~warmup_ns =
+let make_ctx ?table engine ~duration_ns ~warmup_ns =
   let now = Sim.Engine.now engine in
+  let table = match table with Some t -> t | None -> Net.Reliab.create engine in
   {
     engine;
     hist = Stats.Histogram.create ();
@@ -101,11 +83,9 @@ let make_ctx ?reliab engine ~duration_ns ~warmup_ns =
     sent = 0;
     completed = 0;
     resp_bytes = 0;
-    next_id = 1;
-    pending = Hashtbl.create 4096;
-    reliab;
-    retries0 = (match reliab with Some r -> Net.Reliab.retries r | None -> 0);
-    give_ups0 = (match reliab with Some r -> Net.Reliab.give_ups r | None -> 0);
+    table;
+    retries0 = Net.Reliab.retries table;
+    give_ups0 = Net.Reliab.give_ups table;
   }
 
 let finish ctx ~offered_rps =
@@ -118,38 +98,29 @@ let finish ctx ~offered_rps =
     hist = ctx.hist;
     sent = ctx.sent;
     completed = ctx.completed;
-    retransmits =
-      (match ctx.reliab with Some r -> Net.Reliab.retries r - ctx.retries0 | None -> 0);
-    abandoned =
-      (match ctx.reliab with Some r -> Net.Reliab.give_ups r - ctx.give_ups0 | None -> 0);
+    retransmits = Net.Reliab.retries ctx.table - ctx.retries0;
+    abandoned = Net.Reliab.give_ups ctx.table - ctx.give_ups0;
   }
 
-let check_reliab ~who ~reliab ~parse_id =
-  match (reliab, parse_id) with
-  | Some _, None ->
-      invalid_arg (who ^ ": retries need id-matched completions (parse_id)")
-  | _ -> ()
-
-let open_loop ?reliab engine ~clients ~server ~rate_rps ~duration_ns ~warmup_ns
-    ~rng ~send ~parse_id =
+let open_loop engine ~clients ~server ~rate_rps ~duration_ns ~warmup_ns ~rng ~send ~parse_id =
   if clients = [] then invalid_arg "Driver.open_loop: no clients";
-  check_reliab ~who:"Driver.open_loop" ~reliab ~parse_id;
   (* Connection-oriented transports handshake now, during warmup, so
      establishment never lands in a measured latency window (no-op for
      UDP). *)
   List.iter (fun c -> Net.Transport.connect c ~peer:server) clients;
-  let ctx = make_ctx ?reliab engine ~duration_ns ~warmup_ns in
+  let ctx = make_ctx engine ~duration_ns ~warmup_ns in
   let per_client_mean_ns =
     float_of_int (List.length clients) /. rate_rps *. 1e9
   in
   List.iter
     (fun client ->
-      let fifo = Queue.create () in
+      let m = matcher parse_id in
       let rng = Sim.Rng.split rng in
-      install_rx ctx client ~parse_id ~fifo ~on_complete:(fun () -> ());
+      let send id = send client ~dst:server ~id in
+      install_rx ctx client m ~on_complete:ignore;
       let rec arrival () =
         if Sim.Engine.now engine < ctx.end_abs then begin
-          issue ctx client ~server ~send ~parse_id ~fifo;
+          issue ctx m ~send ~give_up:ignore;
           let gap = Sim.Dist.exponential rng ~mean:per_client_mean_ns in
           Sim.Engine.schedule engine ~after:(max 1 (int_of_float gap)) arrival
         end
@@ -171,37 +142,23 @@ let open_loop ?reliab engine ~clients ~server ~rate_rps ~duration_ns ~warmup_ns
    Responses must be id-matched: a dispatcher fanning requests across
    shards can reorder completions, so the FIFO fallback of [open_loop]
    would mis-pair latencies. *)
-let open_loop_conns ?reliab engine ~conns ~clients ~server ~rate_rps
-    ~duration_ns ~warmup_ns ~rng ~send ~parse_id =
+let open_loop_conns engine ~conns ~clients ~server ~rate_rps ~duration_ns ~warmup_ns ~rng ~send
+    ~parse_id =
   if clients = [] then invalid_arg "Driver.open_loop_conns: no clients";
   let clients_arr = Array.of_list clients in
   let n_clients = Array.length clients_arr in
   List.iter (fun c -> Net.Transport.connect c ~peer:server) clients;
-  let ctx = make_ctx ?reliab engine ~duration_ns ~warmup_ns in
-  let parse = Some parse_id in
-  List.iter
-    (fun client ->
-      install_rx ctx client ~parse_id:parse ~fifo:(Queue.create ())
-        ~on_complete:(fun () -> ()))
-    clients;
+  let ctx = make_ctx engine ~duration_ns ~warmup_ns in
+  let m = By_id parse_id in
+  List.iter (fun client -> install_rx ctx client m ~on_complete:ignore) clients;
   let master = Sim.Rng.split rng in
   let mean_gap_ns = 1e9 /. rate_rps in
   let rec arrival () =
     if Sim.Engine.now engine < ctx.end_abs then begin
       let conn = Sim.Rng.int master (Conns.length conns) in
       let client = clients_arr.(conn mod n_clients) in
-      let id = fresh_id ctx in
-      Hashtbl.replace ctx.pending id (Sim.Engine.now engine);
-      ctx.sent <- ctx.sent + 1;
-      let do_send () =
-        Conns.with_stream conns conn (fun crng ->
-            send ~conn crng client ~dst:server ~id)
-      in
-      (match ctx.reliab with
-      | None -> do_send ()
-      | Some r ->
-          Net.Reliab.track r ~id ~send:do_send ~give_up:(fun () ->
-              Hashtbl.remove ctx.pending id));
+      issue ctx m ~give_up:ignore ~send:(fun id ->
+          Conns.with_stream conns conn (fun crng -> send ~conn crng client ~dst:server ~id));
       let gap = Sim.Dist.exponential master ~mean:mean_gap_ns in
       Sim.Engine.schedule engine ~after:(max 1 (int_of_float gap)) arrival
     end
@@ -209,26 +166,26 @@ let open_loop_conns ?reliab engine ~conns ~clients ~server ~rate_rps
   Sim.Engine.schedule engine ~after:1 arrival;
   finish ctx ~offered_rps:rate_rps
 
-let closed_loop ?reliab engine ~clients ~server ~outstanding ~duration_ns
-    ~warmup_ns ~rng ~send ~parse_id =
+let closed_loop ?reliab engine ~clients ~server ~outstanding ~duration_ns ~warmup_ns ~rng ~send
+    ~parse_id =
   if clients = [] then invalid_arg "Driver.closed_loop: no clients";
-  check_reliab ~who:"Driver.closed_loop" ~reliab ~parse_id;
+  if reliab <> None && parse_id = None then
+    invalid_arg "Driver.closed_loop: retries need id-matched completions (parse_id)";
   ignore rng;
   List.iter (fun c -> Net.Transport.connect c ~peer:server) clients;
-  let ctx = make_ctx ?reliab engine ~duration_ns ~warmup_ns in
+  let ctx = make_ctx ?table:reliab engine ~duration_ns ~warmup_ns in
   List.iter
     (fun client ->
-      let fifo = Queue.create () in
+      let m = matcher parse_id in
+      let send id = send client ~dst:server ~id in
       let rec next () =
-        if Sim.Engine.now engine < ctx.end_abs then
-          (* An abandoned request still frees its slot, or a lossy run
-             would strangle the closed loop. *)
-          issue ctx client ~server ~send ~parse_id ~fifo ~on_give_up:next
-      in
-      install_rx ctx client ~parse_id ~fifo ~on_complete:next;
+        if Sim.Engine.now engine < ctx.end_abs then issue ctx m ~send ~give_up
+      (* An abandoned request still frees its slot, or a lossy run would
+         strangle the closed loop. *)
+      and give_up _ = next () in
+      install_rx ctx client m ~on_complete:next;
       for k = 1 to outstanding do
-        Sim.Engine.schedule engine ~after:(k * 211) (fun () ->
-            issue ctx client ~server ~send ~parse_id ~fifo ~on_give_up:next)
+        Sim.Engine.schedule engine ~after:(k * 211) (fun () -> issue ctx m ~send ~give_up)
       done)
     clients;
   finish ctx ~offered_rps:Float.infinity

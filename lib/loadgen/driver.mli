@@ -4,7 +4,13 @@
     Poisson arrivals at a configured offered load for the throughput–latency
     curves, and a closed-loop saturation mode for "highest achieved
     throughput" numbers. Latency histograms record at 1 µs precision;
-    completions are matched by a response-id parser or FIFO per client. *)
+    completions are matched by a response-id parser or FIFO per client.
+
+    Every driver call keeps its outstanding requests in one
+    {!Net.Reliab.t} (id -> send time), which assigns the ids handed to
+    [send]: 1, 2, … for a table the call creates itself. A response
+    completes the request whose id it carries — once: a duplicate or late
+    response finds no entry. *)
 
 type result = {
   offered_rps : float;
@@ -30,18 +36,11 @@ val to_point : result -> Stats.Curve.point
 
     [send tr ~dst ~id] issues one request over the client transport;
     [parse_id] extracts the id from a response payload ([None] = FIFO
-    matching per client). Connection-oriented transports are connected to
-    [server] at setup, so the 3-way handshake overlaps the warmup window
-    and is excluded from latency accounting.
-
-    [?reliab] routes every request through a reliability layer: [send] is
-    re-invoked with the same id on retransmission, responses are
-    acknowledged on arrival (duplicates counted once — the pending table
-    is keyed by id), and abandoned requests are dropped from the pending
-    table. Requires [parse_id] (raises [Invalid_argument] with FIFO
-    matching — a retransmitted request would desynchronise the queue). *)
+    matching per client, for protocols whose responses carry no id).
+    Connection-oriented transports are connected to [server] at setup, so
+    the 3-way handshake overlaps the warmup window and is excluded from
+    latency accounting. *)
 val open_loop :
-  ?reliab:Net.Reliab.t ->
   Sim.Engine.t ->
   clients:Net.Transport.t list ->
   server:int ->
@@ -64,7 +63,6 @@ val open_loop :
     shards reorders completions, which would desynchronise FIFO
     matching. *)
 val open_loop_conns :
-  ?reliab:Net.Reliab.t ->
   Sim.Engine.t ->
   conns:Conns.t ->
   clients:Net.Transport.t list ->
@@ -78,11 +76,18 @@ val open_loop_conns :
   result
 
 (** [closed_loop ...] keeps [outstanding] requests in flight per client
-    until [duration_ns]; measures saturation throughput. [?reliab] as in
-    {!open_loop}; a given-up request re-issues a fresh one so loss cannot
-    strangle the loop. *)
+    until [duration_ns]; measures saturation throughput.
+
+    [?reliab] hands the call a table to issue through instead of a fresh
+    one — typically created with a retry config, so [send] is re-invoked
+    with the same id on retransmission; its ids continue from wherever
+    the table stands. A given-up request re-issues a fresh one so loss
+    cannot strangle the loop; [retransmits] and [abandoned] count this
+    call's share of the table's counters. Retries require [parse_id]
+    (raises [Invalid_argument] with FIFO matching — a retransmitted
+    request would desynchronise the queue). *)
 val closed_loop :
-  ?reliab:Net.Reliab.t ->
+  ?reliab:int Net.Reliab.t ->
   Sim.Engine.t ->
   clients:Net.Transport.t list ->
   server:int ->

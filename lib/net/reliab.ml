@@ -9,19 +9,15 @@ type config = {
 let default_config =
   { timeout_ns = 100_000; max_retries = 4; backoff = 2.0; jitter = 0.1; reap_period_ns = 250_000 }
 
-type entry = {
-  e_send : unit -> unit;
-  e_give_up : unit -> unit;
-  e_deadline : int option; (* absolute engine time; no send at/after it *)
-  mutable attempts : int; (* sends so far, including the first *)
-  mutable resolved : bool;
-}
-
-type t = {
+(* One Hashtbl holds every outstanding call: id -> the caller's payload.
+   Ids are never reused within a table, so membership alone says whether
+   a call is still outstanding; a call's retry state (attempt count, send
+   and give-up callbacks, deadline) rides in its timer closure. *)
+type 'a t = {
   engine : Sim.Engine.t;
-  rng : Sim.Rng.t;
-  config : config;
-  pending : (int, entry) Hashtbl.t;
+  retry : (config * Sim.Rng.t) option;
+  pending : (int, 'a) Hashtbl.t;
+  mutable next_id : int;
   mutable reaper : (unit -> unit) option;
   mutable reaper_armed : bool;
   mutable tracked : int;
@@ -40,13 +36,13 @@ let check_config c =
   if not (c.jitter >= 0.0 && c.jitter <= 1.0) then invalid_arg "Reliab: jitter outside [0,1]";
   if c.reap_period_ns <= 0 then invalid_arg "Reliab: reap_period_ns must be positive"
 
-let create ?(config = default_config) engine ~rng =
-  check_config config;
+let create ?retry engine =
+  Option.iter (fun (c, _) -> check_config c) retry;
   {
     engine;
-    rng;
-    config;
+    retry;
     pending = Hashtbl.create 256;
+    next_id = 1;
     reaper = None;
     reaper_armed = false;
     tracked = 0;
@@ -63,93 +59,90 @@ let outstanding t = Hashtbl.length t.pending
 (* The reaper self-reschedules only while requests are outstanding, so an
    idle layer never keeps the engine's event loop alive. *)
 let rec arm_reaper t =
-  if (not t.reaper_armed) && t.reaper <> None && outstanding t > 0 then begin
-    t.reaper_armed <- true;
-    Sim.Engine.schedule t.engine ~after:t.config.reap_period_ns (fun () ->
-        t.reaper_armed <- false;
-        (match t.reaper with Some f -> f () | None -> ());
-        arm_reaper t)
-  end
+  match (t.retry, t.reaper) with
+  | Some (c, _), Some f when (not t.reaper_armed) && outstanding t > 0 ->
+      t.reaper_armed <- true;
+      Sim.Engine.schedule t.engine ~after:c.reap_period_ns (fun () ->
+          t.reaper_armed <- false;
+          f ();
+          arm_reaper t)
+  | _ -> ()
 
 let set_reaper t f =
+  if t.retry = None then invalid_arg "Reliab.set_reaper: table has no retry config";
   t.reaper <- Some f;
   arm_reaper t
 
-let timeout_for t e =
-  let base = float_of_int t.config.timeout_ns *. (t.config.backoff ** float_of_int (e.attempts - 1)) in
-  let jitter = 1.0 +. (t.config.jitter *. ((2.0 *. Sim.Rng.float t.rng) -. 1.0)) in
+let timeout_for (c, rng) ~attempts =
+  let base = float_of_int c.timeout_ns *. (c.backoff ** float_of_int (attempts - 1)) in
+  let jitter = 1.0 +. (c.jitter *. ((2.0 *. Sim.Rng.float rng) -. 1.0)) in
   max 1 (int_of_float (base *. jitter))
 
-(* Abandon at the deadline: the request resolves exactly when its budget
-   expires, not one retransmission timeout later. *)
-let abandon t ~id e =
-  e.resolved <- true;
-  Hashtbl.remove t.pending id;
-  t.give_ups <- t.give_ups + 1;
-  t.abandoned <- t.abandoned + 1;
-  e.e_give_up ()
+(* Resolve a call that ran out of retries or hit its deadline; a no-op if
+   it was acked first. *)
+let give_up_call t ~id ~give_up ~at_deadline =
+  match Hashtbl.find t.pending id with
+  | exception Not_found -> ()
+  | v ->
+      Hashtbl.remove t.pending id;
+      t.give_ups <- t.give_ups + 1;
+      if at_deadline then t.abandoned <- t.abandoned + 1;
+      give_up v
 
-let rec arm t ~id e =
-  let timeout = timeout_for t e in
-  (* A per-request deadline clamps the retry budget: a retransmission
-     whose timer would fire at or past the deadline is never scheduled —
-     the request instead reports [Abandoned] deterministically at the
-     deadline itself. *)
-  match e.e_deadline with
-  | Some d when Sim.Engine.now t.engine + timeout >= d ->
-      Sim.Engine.schedule t.engine
-        ~after:(max 1 (d - Sim.Engine.now t.engine))
-        (fun () -> if not e.resolved then abandon t ~id e)
+let rec arm t retry ~id ~send ~give_up ~deadline ~attempts =
+  let timeout = timeout_for retry ~attempts in
+  let now = Sim.Engine.now t.engine in
+  (* A deadline clamps the retry budget: a retransmission whose timer
+     would fire at or past the deadline is never scheduled — the call
+     instead resolves at the deadline itself, independent of jitter. *)
+  match deadline with
+  | Some d when now + timeout >= d ->
+      Sim.Engine.schedule t.engine ~after:(max 1 (d - now)) (fun () ->
+          give_up_call t ~id ~give_up ~at_deadline:true)
   | _ ->
       Sim.Engine.schedule t.engine ~after:timeout (fun () ->
-          if not e.resolved then begin
+          if Hashtbl.mem t.pending id then begin
             t.timeouts <- t.timeouts + 1;
-            if e.attempts > t.config.max_retries then begin
-              e.resolved <- true;
-              Hashtbl.remove t.pending id;
-              t.give_ups <- t.give_ups + 1;
-              e.e_give_up ()
-            end
+            if attempts > (fst retry).max_retries then
+              give_up_call t ~id ~give_up ~at_deadline:false
             else begin
               t.retries <- t.retries + 1;
-              e.attempts <- e.attempts + 1;
-              e.e_send ();
-              arm t ~id e
+              send id;
+              arm t retry ~id ~send ~give_up ~deadline ~attempts:(attempts + 1)
             end
           end)
 
-let track ?deadline_ns t ~id ~send ~give_up =
-  if Hashtbl.mem t.pending id then
-    invalid_arg (Printf.sprintf "Reliab.track: id %d already tracked" id);
+let call ?deadline_ns t v ~send ~give_up =
   (match deadline_ns with
-  | Some d when d <= 0 -> invalid_arg "Reliab.track: deadline_ns must be positive"
+  | Some d when d <= 0 -> invalid_arg "Reliab.call: deadline_ns must be positive"
   | _ -> ());
-  let e =
-    {
-      e_send = send;
-      e_give_up = give_up;
-      e_deadline =
-        Option.map (fun d -> Sim.Engine.now t.engine + d) deadline_ns;
-      attempts = 1;
-      resolved = false;
-    }
-  in
-  Hashtbl.replace t.pending id e;
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  Hashtbl.add t.pending id v;
   t.tracked <- t.tracked + 1;
-  send ();
-  arm t ~id e;
-  arm_reaper t
+  send id;
+  (match (t.retry, deadline_ns) with
+  | None, None -> ()
+  | None, Some d ->
+      Sim.Engine.schedule t.engine ~after:d (fun () ->
+          give_up_call t ~id ~give_up ~at_deadline:true)
+  | Some retry, _ ->
+      let deadline = Option.map (fun d -> Sim.Engine.now t.engine + d) deadline_ns in
+      arm t retry ~id ~send ~give_up ~deadline ~attempts:1;
+      arm_reaper t);
+  id
 
-let ack t ~id =
-  match Hashtbl.find_opt t.pending id with
-  | Some e when not e.resolved ->
-      e.resolved <- true;
+let find t id = Hashtbl.find t.pending id
+
+let ack t id =
+  match Hashtbl.find t.pending id with
+  | v ->
       Hashtbl.remove t.pending id;
       t.acked <- t.acked + 1;
-      `Acked
-  | _ ->
+      v
+  | exception Not_found ->
       t.dup_acks <- t.dup_acks + 1;
-      `Duplicate
+      raise Not_found
 
 let tracked t = t.tracked
 

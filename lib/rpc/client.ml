@@ -1,13 +1,16 @@
 (* Client-side call state shared by every generated stub.
 
-   A generated [call_<m>] closes over this record: it assigns a request
-   id, registers the reply continuation, stamps the id + method word into
-   the request envelope via [prepare], then hands the folded send closure
-   either to [Net.Reliab] (retry/backoff, deadline-clamped) or straight
-   to the transport. Responses come back through the generated [deliver],
-   which validates the frame into the pooled [reader] exactly once and
-   routes on the echoed id here — {!complete} acks the retry layer and
-   runs the continuation with the in-place reader, so a unary round trip
+   A generated [call_<m>] closes over this record. Its call goes into the
+   client's one table of outstanding calls ([Net.Reliab]), which assigns
+   the request id, keeps the reply continuation under it, and runs the
+   stub's send closure — stamp the id + method word into the request
+   envelope, send through the folded writer — once, then again on each
+   retransmission if the client was created with a retry config. A
+   declared deadline arms one timer on the transport's engine clock.
+   Responses come back through the generated [deliver], which validates
+   the frame into the pooled [reader] exactly once and routes on the
+   echoed id here — {!complete} resolves the call in the table and runs
+   the continuation with the in-place reader, so a unary round trip
    allocates nothing on the reply path beyond the validation itself.
 
    Streamed methods register a {!Stream.collector}; each chunk's seq word
@@ -25,32 +28,20 @@ type reply_handler =
 type t = {
   tr : Net.Transport.t;
   config : Cornflakes.Config.t;
-  engine : Sim.Engine.t option;
-  reliab : Net.Reliab.t option;
   reader : Wire.Reader.t;
-  pending : (int, reply_handler) Hashtbl.t;
-  mutable next_id : int;
-  mutable calls : int;
-  mutable replies : int;
+  table : reply_handler Net.Reliab.t;
   mutable chunks : int;
-  mutable abandoned : int;
   mutable orphans : int;
   mutable misordered : int;
 }
 
-let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp tr =
+let create ?(config = Cornflakes.Config.default) ?retry ~resp tr =
   {
     tr;
     config;
-    engine;
-    reliab;
     reader = Wire.Reader.create resp;
-    pending = Hashtbl.create 64;
-    next_id = 1;
-    calls = 0;
-    replies = 0;
+    table = Net.Reliab.create ?retry (Net.Endpoint.engine (Net.Transport.endpoint tr));
     chunks = 0;
-    abandoned = 0;
     orphans = 0;
     misordered = 0;
   }
@@ -59,59 +50,29 @@ let transport t = t.tr
 let config t = t.config
 let reader t = t.reader
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
+(* Schema-declared [deadline_ms=N] method options, on the engine clock. *)
+let ns_of_ms ms =
+  if ms <= 0 then invalid_arg "Rpc.Client: deadline_ms must be positive";
+  ms * 1_000_000
 
-let abandon t ~id =
-  match Hashtbl.find_opt t.pending id with
-  | None -> ()
-  | Some h ->
-      Hashtbl.remove t.pending id;
-      t.abandoned <- t.abandoned + 1;
-      (match h with Unary _ -> () | Streamed s -> s.on_done ~ok:false)
+let give_up = function Unary _ -> () | Streamed s -> s.on_done ~ok:false
 
-let start t ?deadline_ms ~handler ~prepare ~send () =
-  let id = fresh_id t in
-  Hashtbl.replace t.pending id handler;
-  t.calls <- t.calls + 1;
-  prepare id;
-  let deadline_ns = Option.map Deadline.ns_of_ms deadline_ms in
-  (match t.reliab with
-  | Some rl -> Net.Reliab.track ?deadline_ns rl ~id ~send ~give_up:(fun () -> abandon t ~id)
-  | None -> (
-      send ();
-      (* No retry layer: the deadline still resolves the call
-         deterministically, provided an engine clock is attached. *)
-      match (deadline_ns, t.engine) with
-      | Some d, Some engine ->
-          Sim.Engine.schedule engine ~after:d (fun () -> abandon t ~id)
-      | _ -> ()));
-  id
+let start t ?deadline_ms handler ~send =
+  let deadline_ns = Option.map ns_of_ms deadline_ms in
+  Net.Reliab.call ?deadline_ns t.table handler ~send ~give_up
 
-let call t ?deadline_ms ~prepare ~send ~on_reply () =
-  start t ?deadline_ms ~handler:(Unary on_reply) ~prepare ~send ()
+let call t ?deadline_ms ~send ~on_reply () = start t ?deadline_ms (Unary on_reply) ~send
 
-let call_stream t ?deadline_ms ~prepare ~send ~on_chunk ~on_done () =
-  start t ?deadline_ms
-    ~handler:(Streamed { on_chunk; on_done; coll = Stream.collector () })
-    ~prepare ~send ()
-
-let ack_reliab t ~id =
-  match t.reliab with
-  | Some rl -> ignore (Net.Reliab.ack rl ~id)
-  | None -> ()
+let call_stream t ?deadline_ms ~send ~on_chunk ~on_done () =
+  start t ?deadline_ms (Streamed { on_chunk; on_done; coll = Stream.collector () }) ~send
 
 let complete ?seq_word t ~id r =
-  match Hashtbl.find_opt t.pending id with
-  | None -> t.orphans <- t.orphans + 1
-  | Some (Unary f) ->
-      Hashtbl.remove t.pending id;
-      ack_reliab t ~id;
-      t.replies <- t.replies + 1;
+  match Net.Reliab.find t.table id with
+  | exception Not_found -> t.orphans <- t.orphans + 1
+  | Unary f ->
+      ignore (Net.Reliab.ack t.table id);
       f r
-  | Some (Streamed s) -> (
+  | Streamed s -> (
       match seq_word with
       | None ->
           (* A streamed reply without a seq word is a framing error. *)
@@ -122,18 +83,16 @@ let complete ?seq_word t ~id r =
               t.chunks <- t.chunks + 1;
               s.on_chunk r
           | `Last ->
-              Hashtbl.remove t.pending id;
-              ack_reliab t ~id;
+              ignore (Net.Reliab.ack t.table id);
               t.chunks <- t.chunks + 1;
-              t.replies <- t.replies + 1;
               s.on_chunk r;
               s.on_done ~ok:true
           | `Out_of_order | `After_end -> t.misordered <- t.misordered + 1))
 
-let outstanding t = Hashtbl.length t.pending
-let calls t = t.calls
-let replies t = t.replies
+let outstanding t = Net.Reliab.outstanding t.table
+let calls t = Net.Reliab.tracked t.table
+let replies t = Net.Reliab.acked t.table
 let chunks t = t.chunks
-let abandoned t = t.abandoned
+let abandoned t = Net.Reliab.give_ups t.table
 let orphans t = t.orphans
 let misordered t = t.misordered

@@ -1,22 +1,22 @@
 (** Call state shared by every generated client stub.
 
-    Owns the request-id counter, the pending-call table, the pooled
-    response {!Wire.Reader.t}, and the optional retry ({!Net.Reliab.t})
-    and engine-clock hooks. Generated [call_<m>] stubs drive {!call} /
-    {!call_stream}; the generated [deliver] validates each response frame
-    once and routes it through {!complete}. *)
+    Owns the client's one table of outstanding calls ({!Net.Reliab.t}:
+    id assignment, reply handler per id, optional retry, per-call
+    deadlines) and the pooled response {!Wire.Reader.t}. Generated
+    [call_<m>] stubs drive {!call} / {!call_stream}; the generated
+    [deliver] validates each response frame once and routes it through
+    {!complete}. *)
 
 type t
 
-(** [create ?config ?engine ?reliab ~resp tr] — [resp] is the service's
-    response envelope descriptor (backs the pooled reader); [tr] the
-    transport the stubs send on. Attach [reliab] for retry/backoff with
-    deadline clamping; without it, [engine] alone still resolves
-    deadlines deterministically. *)
+(** [create ?config ?retry ~resp tr] — [resp] is the service's response
+    envelope descriptor (backs the pooled reader); [tr] the transport the
+    stubs send on, whose endpoint's engine is the clock deadlines run on.
+    With [retry = (config, rng)] every call retransmits on timeout (see
+    {!Net.Reliab.create}); deadlines clamp the retry budget. *)
 val create :
   ?config:Cornflakes.Config.t ->
-  ?engine:Sim.Engine.t ->
-  ?reliab:Net.Reliab.t ->
+  ?retry:Net.Reliab.config * Sim.Rng.t ->
   resp:Schema.Desc.message ->
   Net.Transport.t ->
   t
@@ -27,15 +27,17 @@ val config : t -> Cornflakes.Config.t
 (** Pooled reader the generated [deliver] validates responses into. *)
 val reader : t -> Wire.Reader.t
 
-(** [call t ?deadline_ms ~prepare ~send ~on_reply ()] — assigns an id,
-    runs [prepare id] (stub stamps id + method word into the request),
-    then sends — via the retry layer when attached. Returns the id.
-    [on_reply] runs at most once, with the validated in-place reader. *)
+(** [call t ?deadline_ms ~send ~on_reply ()] — assigns an id and runs
+    [send id] (the stub stamps id + method word into the request and
+    sends it); with a retry config, [send id] runs again on each
+    retransmission. Returns the id. [on_reply] runs at most once, with
+    the validated in-place reader. A [deadline_ms] abandons the call if
+    no reply came by then; raises [Invalid_argument] if it is not
+    positive. *)
 val call :
   t ->
   ?deadline_ms:int ->
-  prepare:(int -> unit) ->
-  send:(unit -> unit) ->
+  send:(int -> unit) ->
   on_reply:(Wire.Reader.t -> unit) ->
   unit ->
   int
@@ -46,8 +48,7 @@ val call :
 val call_stream :
   t ->
   ?deadline_ms:int ->
-  prepare:(int -> unit) ->
-  send:(unit -> unit) ->
+  send:(int -> unit) ->
   on_chunk:(Wire.Reader.t -> unit) ->
   on_done:(ok:bool -> unit) ->
   unit ->
@@ -58,6 +59,7 @@ val call_stream :
     {!orphans}; sequence violations as {!misordered}. *)
 val complete : ?seq_word:int64 -> t -> id:int -> Wire.Reader.t -> unit
 
+(** Calls awaiting a reply, calls issued, and calls completed. *)
 val outstanding : t -> int
 val calls : t -> int
 val replies : t -> int

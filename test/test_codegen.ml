@@ -214,7 +214,7 @@ let test_service_emission () =
       "Rpc.Table.dispatch";
       "let emit_scan s ~dst ~id cur ~last";
       "Rpc.Stream.next cur ~last";
-      "let client ?config ?engine ?reliab tr";
+      "let client ?config ?retry tr";
       "let call_get ?cpu ?deadline_ms c ~dst req ~on_reply";
       "let call_scan ?cpu ?deadline_ms c ~dst req ~on_chunk ~on_done";
       "Rpc.Client.call_stream";

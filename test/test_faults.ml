@@ -140,47 +140,58 @@ let reliab_cfg =
     reap_period_ns = 10_000;
   }
 
+let retrying ?(config = reliab_cfg) ?(seed = 3) engine =
+  Net.Reliab.create ~retry:(config, Sim.Rng.create ~seed) engine
+
 let test_reliab_retries_then_gives_up () =
   let engine = Sim.Engine.create () in
-  let r = Net.Reliab.create ~config:reliab_cfg engine ~rng:(Sim.Rng.create ~seed:3) in
-  let sends = ref 0 and gave_up = ref false in
-  Net.Reliab.track r ~id:1
-    ~send:(fun () -> incr sends)
-    ~give_up:(fun () -> gave_up := true);
+  let r = retrying engine in
+  let sends = ref 0 and gave_up = ref None in
+  let id =
+    Net.Reliab.call r "req"
+      ~send:(fun _ -> incr sends)
+      ~give_up:(fun v -> gave_up := Some v)
+  in
+  Alcotest.(check int) "first id" 1 id;
   Sim.Engine.run_all engine;
   Alcotest.(check int) "initial + 2 retries" 3 !sends;
   Alcotest.(check int) "retries" 2 (Net.Reliab.retries r);
   Alcotest.(check int) "give_ups" 1 (Net.Reliab.give_ups r);
-  Alcotest.(check bool) "give_up callback" true !gave_up;
+  Alcotest.(check (option string)) "give_up gets the payload" (Some "req")
+    !gave_up;
   Alcotest.(check int) "outstanding" 0 (Net.Reliab.outstanding r);
   (* backoff: expiries at 1000, 1000+2000, 1000+2000+4000 *)
   Alcotest.(check int) "engine time" 7_000 (Sim.Engine.now engine)
 
 let test_reliab_ack_disarms () =
   let engine = Sim.Engine.create () in
-  let r = Net.Reliab.create ~config:reliab_cfg engine ~rng:(Sim.Rng.create ~seed:3) in
-  let sends = ref 0 in
-  Net.Reliab.track r ~id:7 ~send:(fun () -> incr sends) ~give_up:ignore;
-  Alcotest.(check bool) "first ack" true (Net.Reliab.ack r ~id:7 = `Acked);
-  Alcotest.(check bool) "second ack dup" true (Net.Reliab.ack r ~id:7 = `Duplicate);
+  let r = retrying engine in
+  let sends = ref [] in
+  let id =
+    Net.Reliab.call r "a" ~send:(fun id -> sends := id :: !sends)
+      ~give_up:ignore
+  in
+  Alcotest.(check string) "first ack returns the payload" "a"
+    (Net.Reliab.ack r id);
+  (match Net.Reliab.ack r id with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "second ack found the call");
   Sim.Engine.run_all engine;
-  Alcotest.(check int) "no retransmits" 1 !sends;
+  Alcotest.(check (list int)) "sent once, under its id" [ id ] !sends;
   Alcotest.(check int) "dup acks" 1 (Net.Reliab.dup_acks r);
-  Net.Reliab.track r ~id:9 ~send:ignore ~give_up:ignore;
-  match Net.Reliab.track r ~id:9 ~send:ignore ~give_up:ignore with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate track accepted"
+  (* Ids are never reused: the next call gets a fresh one. *)
+  Alcotest.(check int) "next id" (id + 1)
+    (Net.Reliab.call r "b" ~send:ignore ~give_up:ignore)
 
 let test_reliab_reaper_runs_while_outstanding () =
   let engine = Sim.Engine.create () in
   let r =
-    Net.Reliab.create
-      ~config:{ reliab_cfg with max_retries = 0; timeout_ns = 25_000 }
-      engine ~rng:(Sim.Rng.create ~seed:3)
+    retrying ~config:{ reliab_cfg with max_retries = 0; timeout_ns = 25_000 }
+      engine
   in
   let reaps = ref 0 in
   Net.Reliab.set_reaper r (fun () -> incr reaps);
-  Net.Reliab.track r ~id:1 ~send:ignore ~give_up:ignore;
+  ignore (Net.Reliab.call r () ~send:ignore ~give_up:ignore);
   Sim.Engine.run_all engine;
   (* reap every 10 us while the 25 us request was outstanding; then the
      engine quiesces (the reaper must not self-reschedule forever) *)
@@ -191,13 +202,12 @@ let test_reliab_deadline_clamps_retries () =
      at 7000. A 2500 ns deadline admits only the first retry (timer at
      1000 < 2500); the request then resolves at the deadline itself. *)
   let engine = Sim.Engine.create () in
-  let r =
-    Net.Reliab.create ~config:reliab_cfg engine ~rng:(Sim.Rng.create ~seed:3)
-  in
+  let r = retrying engine in
   let sends = ref 0 and gave_up = ref false in
-  Net.Reliab.track r ~deadline_ns:2_500 ~id:1
-    ~send:(fun () -> incr sends)
-    ~give_up:(fun () -> gave_up := true);
+  ignore
+    (Net.Reliab.call r ~deadline_ns:2_500 ()
+       ~send:(fun _ -> incr sends)
+       ~give_up:(fun () -> gave_up := true));
   Sim.Engine.run_all engine;
   Alcotest.(check int) "initial + 1 clamped retry" 2 !sends;
   Alcotest.(check bool) "gave up" true !gave_up;
@@ -211,15 +221,11 @@ let test_reliab_deadline_deterministic_abandon_time () =
      instant is the deadline — identical across rng streams. *)
   let abandon_time ~seed =
     let engine = Sim.Engine.create () in
-    let r =
-      Net.Reliab.create
-        ~config:{ reliab_cfg with jitter = 0.5 }
-        engine
-        ~rng:(Sim.Rng.create ~seed)
-    in
+    let r = retrying ~config:{ reliab_cfg with jitter = 0.5 } ~seed engine in
     let at = ref (-1) in
-    Net.Reliab.track r ~deadline_ns:2_200 ~id:1 ~send:ignore
-      ~give_up:(fun () -> at := Sim.Engine.now engine);
+    ignore
+      (Net.Reliab.call r ~deadline_ns:2_200 () ~send:ignore
+         ~give_up:(fun () -> at := Sim.Engine.now engine));
     Sim.Engine.run_all engine;
     !at
   in
@@ -228,18 +234,43 @@ let test_reliab_deadline_deterministic_abandon_time () =
 
 let test_reliab_ack_before_deadline () =
   let engine = Sim.Engine.create () in
-  let r =
-    Net.Reliab.create ~config:reliab_cfg engine ~rng:(Sim.Rng.create ~seed:3)
-  in
-  Net.Reliab.track r ~deadline_ns:2_500 ~id:1 ~send:ignore ~give_up:ignore;
-  Alcotest.(check bool) "acked" true (Net.Reliab.ack r ~id:1 = `Acked);
+  let r = retrying engine in
+  let id = Net.Reliab.call r ~deadline_ns:2_500 () ~send:ignore ~give_up:ignore in
+  Net.Reliab.ack r id;
   Sim.Engine.run_all engine;
   Alcotest.(check int) "no abandon after ack" 0 (Net.Reliab.abandoned r);
-  match
-    Net.Reliab.track r ~deadline_ns:0 ~id:2 ~send:ignore ~give_up:ignore
-  with
+  match Net.Reliab.call r ~deadline_ns:0 () ~send:ignore ~give_up:ignore with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive deadline accepted"
+
+let test_reliab_plain_table () =
+  (* No retry config: a call without a deadline arms nothing, so the
+     engine has no event to run; one with a deadline arms one timer and
+     resolves exactly at it. *)
+  let engine = Sim.Engine.create () in
+  let r = Net.Reliab.create engine in
+  let sends = ref 0 and gave_up = ref 0 in
+  let a = Net.Reliab.call r 10 ~send:(fun _ -> incr sends) ~give_up:ignore in
+  Sim.Engine.run_all engine;
+  Alcotest.(check int) "no timer armed" 0 (Sim.Engine.now engine);
+  Alcotest.(check int) "still outstanding" 1 (Net.Reliab.outstanding r);
+  let b =
+    Net.Reliab.call r ~deadline_ns:5_000 20
+      ~send:(fun _ -> incr sends)
+      ~give_up:(fun v -> gave_up := v)
+  in
+  Alcotest.(check (pair int int)) "ids 1, 2" (1, 2) (a, b);
+  Sim.Engine.run_all engine;
+  Alcotest.(check int) "sent once each" 2 !sends;
+  Alcotest.(check int) "deadline gave up the payload" 20 !gave_up;
+  Alcotest.(check int) "abandoned at the deadline" 5_000 (Sim.Engine.now engine);
+  Alcotest.(check int) "abandoned" 1 (Net.Reliab.abandoned r);
+  Alcotest.(check int) "no retries" 0 (Net.Reliab.retries r);
+  Alcotest.(check int) "acked the first" 10 (Net.Reliab.ack r a);
+  Alcotest.(check int) "drained" 0 (Net.Reliab.outstanding r);
+  match Net.Reliab.set_reaper r ignore with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "reaper accepted without a retry config"
 
 (* --- Dedup window ------------------------------------------------------- *)
 
@@ -425,16 +456,16 @@ let run_faulted ~seed ~plan ~duration_ns =
   Apps.Rig.inject_faults rig (Injector.create plan);
   let reliab =
     Net.Reliab.create
-      ~config:
-        {
-          Net.Reliab.timeout_ns = 100_000;
-          max_retries = 6;
-          backoff = 1.6;
-          jitter = 0.1;
-          reap_period_ns = 250_000;
-        }
+      ~retry:
+        ( {
+            Net.Reliab.timeout_ns = 100_000;
+            max_retries = 6;
+            backoff = 1.6;
+            jitter = 0.1;
+            reap_period_ns = 250_000;
+          },
+          Sim.Rng.split rig.Apps.Rig.rng )
       rig.Apps.Rig.engine
-      ~rng:(Sim.Rng.split rig.Apps.Rig.rng)
   in
   Net.Reliab.set_reaper reliab (fun () -> ignore (Apps.Rig.reap_lost rig));
   let r =
@@ -533,6 +564,8 @@ let suite =
       test_reliab_deadline_clamps_retries;
     Alcotest.test_case "reliab deadline abandon is deterministic" `Quick
       test_reliab_deadline_deterministic_abandon_time;
+    Alcotest.test_case "reliab table without retry config" `Quick
+      test_reliab_plain_table;
     Alcotest.test_case "reliab ack before deadline" `Quick
       test_reliab_ack_before_deadline;
     Alcotest.test_case "dedup window" `Quick test_dedup_window;

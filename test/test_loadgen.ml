@@ -87,6 +87,45 @@ let test_fifo_matching_mode () =
   Alcotest.(check bool) "latencies recorded" true
     (Stats.Histogram.count r.Loadgen.Driver.hist > 500)
 
+(* Each driver call issues ids 1, 2, … in send order, whichever loop
+   runs and however many calls ran on the rig before it. *)
+let test_driver_ids_per_call () =
+  let rig = make_fixture ~service_cycles:3000.0 in
+  let engine = rig.Apps.Rig.engine in
+  let ids = ref [] in
+  let send tr ~dst ~id =
+    ids := id :: !ids;
+    send_fn tr ~dst ~id
+  in
+  let check name (r : Loadgen.Driver.result) =
+    let got = List.rev !ids in
+    ids := [];
+    Alcotest.(check bool) (name ^ ": completed some") true
+      (r.Loadgen.Driver.completed > 0);
+    Alcotest.(check (list int)) (name ^ ": ids 1..n")
+      (List.init r.Loadgen.Driver.sent (fun i -> i + 1))
+      got
+  in
+  let conns = Loadgen.Conns.create ~seed:7 64 in
+  for round = 1 to 2 do
+    let name loop = Printf.sprintf "call %d, %s" round loop in
+    check (name "open_loop")
+      (Loadgen.Driver.open_loop engine ~clients:rig.Apps.Rig.clients
+         ~server:Apps.Rig.server_id ~rate_rps:200_000.0 ~duration_ns:500_000
+         ~warmup_ns:0 ~rng:rig.Apps.Rig.rng ~send ~parse_id:(Some parse_fn));
+    check (name "open_loop_conns")
+      (Loadgen.Driver.open_loop_conns engine ~conns
+         ~clients:rig.Apps.Rig.clients ~server:Apps.Rig.server_id
+         ~rate_rps:200_000.0 ~duration_ns:500_000 ~warmup_ns:0
+         ~rng:rig.Apps.Rig.rng
+         ~send:(fun ~conn:_ _ tr ~dst ~id -> send tr ~dst ~id)
+         ~parse_id:parse_fn);
+    check (name "closed_loop")
+      (Loadgen.Driver.closed_loop engine ~clients:rig.Apps.Rig.clients
+         ~server:Apps.Rig.server_id ~outstanding:2 ~duration_ns:500_000
+         ~warmup_ns:0 ~rng:rig.Apps.Rig.rng ~send ~parse_id:(Some parse_fn))
+  done
+
 let test_hold_rejects_nesting () =
   let rig = Apps.Rig.create ~n_clients:1 () in
   Net.Endpoint.begin_hold rig.Apps.Rig.server_ep;
@@ -185,6 +224,8 @@ let suite =
     Alcotest.test_case "latency includes service" `Quick
       test_latency_includes_service_time;
     Alcotest.test_case "fifo matching" `Quick test_fifo_matching_mode;
+    Alcotest.test_case "driver ids run 1..n per call" `Quick
+      test_driver_ids_per_call;
     Alcotest.test_case "hold rejects nesting" `Quick test_hold_rejects_nesting;
     Alcotest.test_case "held sends delayed" `Quick test_held_sends_are_delayed;
   ]

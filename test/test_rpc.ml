@@ -1,6 +1,6 @@
 (* Tests for the RPC runtime (lib/rpc) and the generated service layer:
-   the dispatch table, the deadline clock, stream sequencing, the client
-   call state, and the compiler-generated [Kv_msgs.Kv_service] stub +
+   the dispatch table, stream sequencing, the client call state
+   (deadlines, retries), and the compiler-generated [Kv_msgs.Kv_service] stub +
    skeleton driven end to end over the loopback fabric — including a
    QCheck property that the stub's folded encode round-trips
    byte-identically against both the skeleton's in-place reader and a
@@ -24,30 +24,6 @@ let test_table_dispatch () =
   match Rpc.Table.create ~n:(-1) ~fallback:"fb" with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-(* --- Deadline ------------------------------------------------------------ *)
-
-let test_deadline_clock () =
-  Alcotest.(check int) "ns_of_ms" 3_000_000 (Rpc.Deadline.ns_of_ms 3);
-  (match Rpc.Deadline.ns_of_ms 0 with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  let engine = Sim.Engine.create () in
-  let expiry = Rpc.Deadline.expiry engine ~deadline_ms:1 in
-  Alcotest.(check int) "expiry" 1_000_000 expiry;
-  Alcotest.(check int) "remaining" 1_000_000
-    (Rpc.Deadline.remaining_ns engine ~expiry);
-  Alcotest.(check bool) "not yet expired" false
-    (Rpc.Deadline.expired engine ~expiry);
-  let checked = ref false in
-  Sim.Engine.schedule engine ~after:1_000_000 (fun () ->
-      Alcotest.(check bool) "expired at deadline" true
-        (Rpc.Deadline.expired engine ~expiry);
-      Alcotest.(check int) "nothing remaining" 0
-        (Rpc.Deadline.remaining_ns engine ~expiry);
-      checked := true);
-  Sim.Engine.run_all engine;
-  Alcotest.(check bool) "ran" true !checked
 
 (* --- Stream -------------------------------------------------------------- *)
 
@@ -128,8 +104,8 @@ let make_rig ?(serve = true) ?on_frame () =
       Mem.Pinned.Buf.decr_ref ~site:"test_rpc.srv_done" buf);
   { engine; space; cli; srv_ep; srv }
 
-let attach_client ?engine rig =
-  let c = KS.client ?engine (Net.Endpoint.transport rig.cli) in
+let attach_client ?retry rig =
+  let c = KS.client ?retry (Net.Endpoint.transport rig.cli) in
   Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
       KS.deliver c buf;
       Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
@@ -195,7 +171,7 @@ let test_deadline_abandon () =
   (* Server drops every request; the engine-clock deadline resolves the
      call deterministically — the unary reply callback never runs. *)
   let rig = make_rig ~serve:false () in
-  let c = attach_client ~engine:rig.engine rig in
+  let c = attach_client rig in
   let replied = ref false in
   ignore
     (KS.call_get c ~deadline_ms:2 ~dst:2 (req_of rig [ "k" ])
@@ -204,7 +180,70 @@ let test_deadline_abandon () =
   Alcotest.(check bool) "no reply" false !replied;
   Alcotest.(check int) "abandoned" 1 (Rpc.Client.abandoned c);
   Alcotest.(check int) "none outstanding" 0 (Rpc.Client.outstanding c);
-  Alcotest.(check int) "no replies" 0 (Rpc.Client.replies c)
+  Alcotest.(check int) "no replies" 0 (Rpc.Client.replies c);
+  Alcotest.(check int) "resolved at the deadline" 2_000_000
+    (Sim.Engine.now rig.engine);
+  match
+    KS.call_get c ~deadline_ms:0 ~dst:2 (req_of rig [ "k" ])
+      ~on_reply:(fun _ -> ())
+  with
+  | exception Invalid_argument _ ->
+      Alcotest.(check int) "rejected before issuing" 1 (Rpc.Client.calls c)
+  | _ -> Alcotest.fail "deadline_ms=0 accepted"
+
+let test_declared_deadline_fires () =
+  (* Put declares [deadline_ms=5]. A client built on the bare transport
+     reads its clock from the transport's endpoint, so the declared
+     deadline resolves a call the server never answers. *)
+  let rig = make_rig ~serve:false () in
+  let c = KS.client (Net.Endpoint.transport rig.cli) in
+  ignore (KS.call_put c ~dst:2 (req_of rig [ "k" ]) ~on_reply:(fun _ -> ()));
+  Sim.Engine.run_all rig.engine;
+  Alcotest.(check int) "abandoned" 1 (Rpc.Client.abandoned c);
+  Alcotest.(check int) "none outstanding" 0 (Rpc.Client.outstanding c);
+  Alcotest.(check int) "at the declared deadline" 5_000_000
+    (Sim.Engine.now rig.engine)
+
+let test_retry_same_id () =
+  (* The server loses the first request frame; the retrying client
+     retransmits it under the same id, and the one reply completes the
+     call once. *)
+  let rig = make_rig () in
+  echo_get rig;
+  let frame_ids = ref [] in
+  Net.Endpoint.set_rx rig.srv_ep (fun ~src buf ->
+      let d =
+        Cornflakes.Send.deserialize Kv_msgs.schema Kv_msgs.Getreq.desc buf
+      in
+      frame_ids :=
+        !frame_ids @ [ Option.fold ~none:(-1) ~some:Int64.to_int (Wire.Dyn.get_int d "id") ];
+      Wire.Dyn.release d;
+      if List.length !frame_ids > 1 then KS.serve rig.srv ~src buf;
+      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.srv_done" buf);
+  let retry =
+    ( {
+        Net.Reliab.timeout_ns = 50_000;
+        max_retries = 2;
+        backoff = 2.0;
+        jitter = 0.0;
+        reap_period_ns = 1_000_000;
+      },
+      Sim.Rng.create ~seed:1 )
+  in
+  let c = attach_client ~retry rig in
+  let replies = ref [] in
+  let id =
+    KS.call_get c ~dst:2 (req_of rig [ "k" ]) ~on_reply:(fun r ->
+        replies := resp_strings r :: !replies)
+  in
+  Sim.Engine.run_all rig.engine;
+  Alcotest.(check (list int)) "sent twice under the call id" [ id; id ]
+    !frame_ids;
+  Alcotest.(check (list (list string))) "one reply" [ [ "k" ] ] !replies;
+  Alcotest.(check int) "replies" 1 (Rpc.Client.replies c);
+  Alcotest.(check int) "no orphans" 0 (Rpc.Client.orphans c);
+  Alcotest.(check int) "none abandoned" 0 (Rpc.Client.abandoned c);
+  Alcotest.(check int) "none outstanding" 0 (Rpc.Client.outstanding c)
 
 let test_orphan_reply () =
   (* A response whose id matches no pending call is counted, not raised. *)
@@ -312,7 +351,6 @@ let qcheck_streamed_round_trip =
 let suite =
   [
     Alcotest.test_case "table dispatch" `Quick test_table_dispatch;
-    Alcotest.test_case "deadline clock" `Quick test_deadline_clock;
     Alcotest.test_case "stream seq word" `Quick test_stream_word;
     Alcotest.test_case "stream cursor + collector" `Quick
       test_stream_cursor_collector;
@@ -322,6 +360,10 @@ let suite =
       test_unknown_method_id_echo;
     Alcotest.test_case "deadline abandons deterministically" `Quick
       test_deadline_abandon;
+    Alcotest.test_case "declared deadline fires on the transport clock"
+      `Quick test_declared_deadline_fires;
+    Alcotest.test_case "retry resends under the same id" `Quick
+      test_retry_same_id;
     Alcotest.test_case "orphan reply counted" `Quick test_orphan_reply;
     Alcotest.test_case "generated streamed round trip" `Quick
       test_streamed_round_trip;
