@@ -8,7 +8,10 @@
     - Cornflakes wraps through {!Cornflakes.Cf_ptr.make} — the hybrid
       threshold plus [recover_ptr], paying copy or refcount per field;
     - the copying libraries hold a [Literal] window and pay their copies at
-      serialization time. *)
+      serialization time.
+
+    Clients match a reply to its request by the reply's id, through
+    [id_reader]. *)
 
 type t = {
   name : string;
@@ -22,6 +25,17 @@ type t = {
     Wire.Dyn.t;
   wrap :
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
+  id_reader : Net.Transport.t -> Mem.Pinned.Buf.t -> int;
+      (** [id_reader tr] is a client's reply-id read over transport [tr]:
+          call it once per client and keep the closure, which maps a
+          received [Resp] frame to its [id] field, or [-1] when the field
+          is absent. It is uncharged and leaves the frame's refcount as it
+          found it. Cornflakes validates the frame once with a pooled
+          {!Wire.Reader} and loads the id in place — no reference, no
+          [Wire.Dyn], no allocation per reply — and raises
+          {!Wire.Reader.Invalid} on a frame [recv] would reject. The
+          baselines [recv] the reply over [tr], read the id and release
+          the message. *)
 }
 
 (** [cornflakes ~config] — hybrid by default; pass

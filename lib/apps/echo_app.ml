@@ -117,21 +117,11 @@ let send_request t ~sizes client ~dst ~id =
 let parse_id t =
   match t.mode with
   | Lib backend ->
+      let clients = t.rig.Rig.clients in
+      let reply_id = backend.Backend.id_reader (List.hd clients) in
       Some
         (fun buf ->
-          let msg =
-            backend.Backend.recv
-              (List.hd t.rig.Rig.clients)
-              Proto.resp buf
-          in
-          let id =
-            match Wire.Dyn.get_int msg "id" with
-            | Some id -> Int64.to_int id
-            | None -> -1
-          in
-          Wire.Dyn.release msg;
-          List.iter
-            (fun c -> Mem.Arena.reset (Net.Transport.arena c))
-            t.rig.Rig.clients;
+          let id = reply_id buf in
+          List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) clients;
           id)
   | _ -> None

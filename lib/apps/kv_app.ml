@@ -154,6 +154,8 @@ type client = {
      never change once built; a longer value swaps in a longer copy. Per
      client, since rigs on different domains each have their own. *)
   mutable pattern : Bytes.t;
+  (* The backend's reply-id read, built once per client. *)
+  reply_id : Mem.Pinned.Buf.t -> int;
 }
 
 let client ~space ~backend transports =
@@ -163,6 +165,7 @@ let client ~space ~backend transports =
     transports;
     scratch = Wire.Dyn.create Proto.req;
     pattern = Bytes.empty;
+    reply_id = backend.Backend.id_reader (List.hd transports);
   }
 
 (* A put value of [max 1 n] filler bytes at fresh simulated addresses:
@@ -206,13 +209,7 @@ let write_op c op tr ~dst ~id =
   Mem.Arena.reset (Net.Transport.arena tr)
 
 let read_id c buf =
-  let msg = c.c_backend.Backend.recv (List.hd c.transports) Proto.resp buf in
-  let id =
-    match Wire.Dyn.get_int msg "id" with
-    | Some id -> Int64.to_int id
-    | None -> -1
-  in
-  Wire.Dyn.release msg;
+  let id = c.reply_id buf in
   List.iter (fun tr -> Mem.Arena.reset (Net.Transport.arena tr)) c.transports;
   id
 
@@ -258,7 +255,12 @@ let switch_backend t backend =
   {
     t with
     server = serve_rig t.rig ~backend ~store:t.server.store ~pool:t.server.pool;
-    client = { t.client with c_backend = backend };
+    client =
+      {
+        t.client with
+        c_backend = backend;
+        reply_id = backend.Backend.id_reader (List.hd t.client.transports);
+      };
   }
 
 let enable_resilience t ~dedup = t.server.dedup <- Some dedup

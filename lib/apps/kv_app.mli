@@ -54,8 +54,12 @@ val client :
 val write_op :
   client -> Workload.Spec.op -> Net.Transport.t -> dst:int -> id:int -> unit
 
-(** [read_id c buf] parses a response's id ([-1] if absent) and recycles
-    every client arena. *)
+(** [read_id c buf] reads a response's id ([-1] if absent) through the
+    backend's {!Backend.t.id_reader}, built once per client, and recycles
+    every client arena. A Cornflakes reply is validated once and its id
+    read in place, with no [Wire.Dyn], no reference taken and no
+    allocation; a rejected frame raises {!Wire.Reader.Invalid}, which the
+    load drivers count as an unmatched reply. *)
 val read_id : client -> Mem.Pinned.Buf.t -> int
 
 (** {1 The app} *)
@@ -95,5 +99,6 @@ val send_op :
 (** Client-side generator: draws the next op from the workload. *)
 val send_next : t -> Net.Transport.t -> dst:int -> id:int -> unit
 
-(** Client-side response-id parser (uncharged; resets the client arena). *)
+(** Client-side response-id parser: {!read_id} (uncharged; resets the
+    client arenas), then forgets the op cached for a retried id. *)
 val parse_id : t -> Mem.Pinned.Buf.t -> int

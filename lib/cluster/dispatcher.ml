@@ -280,11 +280,7 @@ let assemble t fid p =
    assembly hands it to the egress send. *)
 let handle_partial t ~src r =
   t.partials <- t.partials + 1;
-  let fid =
-    if Wire.Reader.present r Apps.Proto.resp_id then
-      Int64.to_int (Wire.Reader.get_u64 r Apps.Proto.resp_id)
-    else -1
-  in
+  let fid = Wire.Reader.get_int_or r Apps.Proto.resp_id ~default:(-1) in
   match Hashtbl.find_opt t.pending fid with
   | None -> t.orphan_partials <- t.orphan_partials + 1
   | Some p -> (

@@ -536,7 +536,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
         \  let deliver ?cpu c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
         \    %s.read_folded ?cpu r buf;\n\
-        \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
+        \    let id = Wire.Reader.get_int_or r resp_id ~default:0 in\n\
         \    let seq_word =\n\
         \      if Wire.Reader.present r resp_seq then\n\
         \        Some (Wire.Reader.get_u64 r resp_seq)\n\
@@ -551,7 +551,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
         \  let deliver ?cpu c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
         \    %s.read_folded ?cpu r buf;\n\
-        \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
+        \    let id = Wire.Reader.get_int_or r resp_id ~default:0 in\n\
         \    Rpc.Client.complete c ~id r\n"
         resp_mod);
   Buffer.add_string buf "end\n\n"

@@ -279,17 +279,24 @@ let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
   let msg = Wire.Dyn.create desc in
   let slot_base = hpos + 4 + (4 * bw) in
   let k = ref 0 in
-  Array.iteri
-    (fun i (field : Schema.Desc.field) ->
-      if present i then begin
-        let slot = slot_base + (8 * !k) in
-        incr k;
-        if slot + 8 > total then malformed "info slot out of range";
-        let v = read_value ?cpu ~depth schema field buf r ~slot ~total in
-        Wire.Dyn.set msg field.Schema.Desc.field_name v
-      end)
-    desc.Schema.Desc.fields;
-  msg
+  (* A field rejected after earlier payloads took their references must
+     not strand them: release what the message holds, then re-raise. *)
+  match
+    Array.iteri
+      (fun i (field : Schema.Desc.field) ->
+        if present i then begin
+          let slot = slot_base + (8 * !k) in
+          incr k;
+          if slot + 8 > total then malformed "info slot out of range";
+          let v = read_value ?cpu ~depth schema field buf r ~slot ~total in
+          Wire.Dyn.set msg field.Schema.Desc.field_name v
+        end)
+      desc.Schema.Desc.fields
+  with
+  | () -> msg
+  | exception (Malformed _ as e) ->
+      Wire.Dyn.release ?cpu msg;
+      raise e
 
 and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
     ~total =
@@ -302,15 +309,27 @@ and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       let count = R.u32 r in
       if count < 0 || table < 0 || table + (8 * count) > total then
         malformed "repeated field table out of range";
-      let elems =
-        List.init count (fun j ->
-            read_element ?cpu ~depth schema field buf r
-              ~slot:(table + (8 * j))
-              ~total)
-      in
-      Wire.Dyn.List elems
+      Wire.Dyn.List
+        (read_elements ?cpu ~depth schema field buf r ~table ~total 0 count)
   | Schema.Desc.Singular ->
       read_element ?cpu ~depth schema field buf r ~slot ~total
+
+(* Elements [j, count) of a repeated field, read in order. When one is
+   rejected, each element before it releases its reference on the way
+   out. *)
+and read_elements ?cpu ~depth schema field buf r ~table ~total j count =
+  if j >= count then []
+  else
+    let v =
+      read_element ?cpu ~depth schema field buf r ~slot:(table + (8 * j)) ~total
+    in
+    match
+      read_elements ?cpu ~depth schema field buf r ~table ~total (j + 1) count
+    with
+    | rest -> v :: rest
+    | exception (Malformed _ as e) ->
+        Wire.Dyn.release_value ?cpu v;
+        raise e
 
 and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
     ~total =

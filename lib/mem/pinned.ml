@@ -148,6 +148,24 @@ module Buf = struct
 
   let sc t = t.pool.classes.(t.cls)
 
+  let none =
+    {
+      pool =
+        {
+          name = "none";
+          uid = -1;
+          classes = [||];
+          base = 0;
+          limit = 0;
+          freelist_addr = 0;
+        };
+      cls = 0;
+      slot = 0;
+      gen = 0;
+      off = 0;
+      len = 0;
+    }
+
   (* The chunk holding [t]'s slot, and the window start within it. *)
   let chunk t =
     let c = sc t in

@@ -69,6 +69,12 @@ module Buf : sig
       at 1. Raises [Out_of_memory] when the class is exhausted. *)
   val alloc : ?cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> len:int -> t
 
+  (** A handle that names no buffer, for holders refilled in place (a
+      pooled reader's frame cache) so that "nothing bound" costs no
+      [option] box per refill. It belongs to no pool and is never live:
+      test for it with [==] and pass it to no other function here. *)
+  val none : t
+
   val addr : t -> int
 
   (** Simulated address of the buffer's reference-count metadata (8 bytes;

@@ -405,6 +405,18 @@ let make_benchmarks ~seed () =
             ignore (Wire.Reader.elem_off_len rx_reader Apps.Proto.resp_vals ~j)
           done);
     };
+    (* The client's reply-id read: the generated folded validator plus one
+       native-int load, as [Apps.Backend.cornflakes]'s [id_reader] runs it
+       per reply. *)
+    {
+      name = "cf-read-id";
+      tracked = true;
+      fn =
+        (fun () ->
+          Apps.Kv_rpc.Resp.read_folded rx_reader rx_frame;
+          ignore
+            (Wire.Reader.get_int_or rx_reader Apps.Proto.resp_id ~default:(-1)));
+    };
     (* One frame through the receive ring and straight back: DMA-visible
        buffer claimed from the ring pool, released at refcount 0. *)
     {

@@ -66,6 +66,9 @@ val payload_bytes : t -> int
     stack, which holds its own references). *)
 val release : ?cpu:Memmodel.Cpu.t -> t -> unit
 
+(** [release] for one value outside a message. *)
+val release_value : ?cpu:Memmodel.Cpu.t -> value -> unit
+
 (** [clear t] blanks every field so the object can be rebuilt in place
     (pooled per endpoint instead of allocated per request). Does NOT release
     payload references — use it when ownership already moved (e.g. the stack

@@ -15,8 +15,19 @@
    frame is accepted here iff the [Dyn] parser accepts it.
 
    A reader is a pooled scratch object (one per message type per endpoint):
-   [validate] refills the slot-offset table in place, so steady-state RX
-   deserialization allocates nothing beyond the handle cache. *)
+   [validate] rebinds the frame and refills the slot-offset table in place.
+   What allocates and what does not:
+
+   - [bind], [validate], [validate_folded], [present], [count],
+     [payload_len] and the native-int getters [get_int]/[get_int_or]
+     allocate nothing per frame (the first three are [@@alloc_free], as is
+     [get_int_or]);
+   - an accessor that returns a value the caller keeps allocates exactly
+     that value: [get_u64]/[elem_u64] box an [int64], [get_float] a float,
+     [payload_view]/[elem_view] a [Mem.View.t], [payload_rc]/[elem_rc] an
+     [Rc_view.t], [payload_string]/[elem_string] a string, and
+     [payload_off_len]/[elem_off_len] a pair;
+   - only a rejection allocates beyond that (the [Invalid] message). *)
 
 exception Invalid of string
 
@@ -32,7 +43,7 @@ type t = {
      the field is absent from the validated frame. *)
   slots : int array;
   mutable words : int array; (* bitmap scratch *)
-  mutable buf : Mem.Pinned.Buf.t option;
+  mutable buf : Mem.Pinned.Buf.t; (* [Mem.Pinned.Buf.none] when unbound *)
   mutable data : Bytes.t;
   mutable base : int; (* window start within [data] *)
   mutable addr : int; (* simulated address of the window *)
@@ -47,7 +58,7 @@ let create (desc : Schema.Desc.message) =
     desc;
     slots = Array.make (max 1 n) (-1);
     words = Array.make (max 1 (bitmap_words n)) 0;
-    buf = None;
+    buf = Mem.Pinned.Buf.none;
     data = Bytes.empty;
     base = 0;
     addr = 0;
@@ -80,6 +91,11 @@ let u64_at t off =
   if b7 land 0x80 = 0 then Int64.logand (Int64.of_int acc) Int64.max_int
   else Int64.logor (Int64.of_int acc) Int64.min_int
 
+(* Bits 0..62 of the u64 at [off] as a native int — the value
+   [Int64.to_int (u64_at t off)] has, without the box: the high word's top
+   bit (bit 63) falls off the shift. *)
+let int_at t off = u32_at t off lor (u32_at t (off + 4) lsl 32)
+
 let charge t ~off ~len =
   match t.cpu with
   | None -> ()
@@ -98,23 +114,23 @@ let charge_call t =
 
 (* --- validation -------------------------------------------------------- *)
 
+let check_payload t ~slot =
+  let off = u32_at t slot in
+  let len = u32_at t (slot + 4) in
+  if off < 0 || len < 0 || off + len > t.total then
+    invalid "payload [%d, %d) out of object of %d bytes" off (off + len)
+      t.total
+
+let check_nested t ~slot =
+  let off = u32_at t slot in
+  let hlen = u32_at t (slot + 4) in
+  if off < 0 || hlen < 4 || off + hlen > t.total then
+    invalid "nested header out of range"
+
 (* Bounds-check one present field's contents behind its (already checked)
    info slot. Charges the extra table reads a repeated field costs; the
    slot itself was charged with the header block. *)
 let check_field t (field : Schema.Desc.field) ~slot =
-  let check_payload ~slot =
-    let off = u32_at t slot in
-    let len = u32_at t (slot + 4) in
-    if off < 0 || len < 0 || off + len > t.total then
-      invalid "payload [%d, %d) out of object of %d bytes" off (off + len)
-        t.total
-  in
-  let check_nested ~slot =
-    let off = u32_at t slot in
-    let hlen = u32_at t (slot + 4) in
-    if off < 0 || hlen < 4 || off + hlen > t.total then
-      invalid "nested header out of range"
-  in
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated -> (
       let table = u32_at t slot in
@@ -126,27 +142,26 @@ let check_field t (field : Schema.Desc.field) ~slot =
       | Schema.Desc.Scalar _ -> ()
       | Schema.Desc.Str | Schema.Desc.Bytes ->
           for j = 0 to count - 1 do
-            check_payload ~slot:(table + (8 * j))
+            check_payload t ~slot:(table + (8 * j))
           done
       | Schema.Desc.Message _ ->
           for j = 0 to count - 1 do
-            check_nested ~slot:(table + (8 * j))
+            check_nested t ~slot:(table + (8 * j))
           done)
   | Schema.Desc.Singular -> (
       match field.Schema.Desc.ty with
       | Schema.Desc.Scalar _ -> ()
-      | Schema.Desc.Str | Schema.Desc.Bytes -> check_payload ~slot
-      | Schema.Desc.Message _ -> check_nested ~slot)
+      | Schema.Desc.Str | Schema.Desc.Bytes -> check_payload t ~slot
+      | Schema.Desc.Message _ -> check_nested t ~slot)
 
 let bind ?cpu t buf =
-  (match t.buf with
-  | Some b when b == buf -> ()
-  | _ -> t.buf <- Some buf);
+  t.buf <- buf;
   t.data <- Mem.Pinned.Buf.backing buf;
   t.base <- Mem.Pinned.Buf.backing_off buf;
   t.addr <- Mem.Pinned.Buf.addr buf;
   t.total <- Mem.Pinned.Buf.len buf;
   t.cpu <- cpu
+[@@alloc_free]
 
 let validate_at ?cpu t buf ~hpos ~depth =
   if depth > max_depth then invalid "nesting deeper than %d" max_depth;
@@ -208,6 +223,7 @@ let validate_folded ?cpu t buf ~bitmap ~header_len =
     charge t ~off:0 ~len:header_len;
     true
   end
+[@@alloc_free]
 
 (* --- accessors (total over validated frames) --------------------------- *)
 
@@ -231,11 +247,25 @@ let get_u64 t i =
 let get_u64_or t i ~default =
   if present t i then get_u64 t i else default
 
-let get_float t i = Int64.float_of_bits (get_u64 t i)
-
-let payload_off_len t i =
+let get_int t i =
   let s = slot t i in
   charge t ~off:s ~len:8;
+  int_at t s
+
+let get_int_or t i ~default = if present t i then get_int t i else default
+[@@alloc_free]
+
+let get_float t i = Int64.float_of_bits (get_u64 t i)
+
+(* Info slot of payload field [i], charged as the one 8-byte load that
+   fetches its offset and length. *)
+let payload_slot t i =
+  let s = slot t i in
+  charge t ~off:s ~len:8;
+  s
+
+let payload_off_len t i =
+  let s = payload_slot t i in
   (u32_at t s, u32_at t (s + 4))
 
 let payload_len t i =
@@ -244,23 +274,24 @@ let payload_len t i =
   u32_at t (s + 4)
 
 let the_buf t =
-  match t.buf with
-  | Some b -> b
-  | None -> invalid "reader has no validated frame"
+  if t.buf == Mem.Pinned.Buf.none then invalid "reader has no validated frame";
+  t.buf
 
 let payload_view t i =
-  let off, len = payload_off_len t i in
-  Mem.Pinned.Buf.sub_view (the_buf t) ~off ~len
+  let s = payload_slot t i in
+  Mem.Pinned.Buf.sub_view (the_buf t) ~off:(u32_at t s) ~len:(u32_at t (s + 4))
 
 let payload_rc ?(site = "Reader.payload_rc") t i =
-  let off, len = payload_off_len t i in
-  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off ~len
+  let s = payload_slot t i in
+  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off:(u32_at t s)
+    ~len:(u32_at t (s + 4))
 
 (* Copy-out, charged as an App-side read over the payload bytes — the
    deliberate small-field exit from the zero-copy discipline (hash keys,
    command names). *)
 let payload_string t i =
-  let off, len = payload_off_len t i in
+  let s = payload_slot t i in
+  let off = u32_at t s and len = u32_at t (s + 4) in
   (match t.cpu with
   | None -> ()
   | Some cpu ->
@@ -289,21 +320,28 @@ let elem_u64 t i ~j =
   charge t ~off:s ~len:8;
   u64_at t s
 
-let elem_off_len t i ~j =
+(* Element [j]'s payload slot, charged like [payload_slot]. *)
+let elem_payload_slot t i ~j =
   let s = elem_slot t i ~j in
   charge t ~off:s ~len:8;
+  s
+
+let elem_off_len t i ~j =
+  let s = elem_payload_slot t i ~j in
   (u32_at t s, u32_at t (s + 4))
 
 let elem_view t i ~j =
-  let off, len = elem_off_len t i ~j in
-  Mem.Pinned.Buf.sub_view (the_buf t) ~off ~len
+  let s = elem_payload_slot t i ~j in
+  Mem.Pinned.Buf.sub_view (the_buf t) ~off:(u32_at t s) ~len:(u32_at t (s + 4))
 
 let elem_rc ?(site = "Reader.elem_rc") t i ~j =
-  let off, len = elem_off_len t i ~j in
-  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off ~len
+  let s = elem_payload_slot t i ~j in
+  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off:(u32_at t s)
+    ~len:(u32_at t (s + 4))
 
 let elem_string t i ~j =
-  let off, len = elem_off_len t i ~j in
+  let s = elem_payload_slot t i ~j in
+  let off = u32_at t s and len = u32_at t (s + 4) in
   (match t.cpu with
   | None -> ()
   | Some cpu ->
@@ -329,10 +367,13 @@ let nested_elem t i ~j ~into =
   validate_at ?cpu:t.cpu into (the_buf t) ~hpos:off ~depth:(t.depth + 1)
 
 (* Drop the cached frame handle (e.g. before quiescing RefSan, so a pooled
-   reader does not pin the last delivery's buffer handle in its cache).
-   Readers never own a reference; this only clears the convenience cache. *)
+   reader does not pin the last delivery's buffer handle in its cache) and
+   mark every field absent, so no accessor reads the old frame until the
+   next [validate]. Readers never own a reference; this only clears the
+   convenience cache. *)
 let clear t =
-  t.buf <- None;
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.buf <- Mem.Pinned.Buf.none;
   t.data <- Bytes.empty;
   t.base <- 0;
   t.addr <- 0;

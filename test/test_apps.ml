@@ -213,6 +213,109 @@ let test_server_queue_drops_under_burst () =
   Alcotest.(check bool) "most served" true
     (Loadgen.Server.served rig.Apps.Rig.server > 2_000)
 
+(* The client's reply-id read agrees with the full decode, for every
+   backend: over random [Resp] replies (id absent, 0, 2^62-1 or a u64 with
+   bit 63 set; 0-8 values of 0-9000 B) [id_reader] returns what [recv] +
+   [get_int] returns, -1 when the id is absent, and leaves the frame's
+   refcount as it found it. The server builds each reply as the kv server
+   does, wrapping pinned values through the backend, so Cornflakes sends
+   large values zero-copy. One TCP rig per backend, reused across cases:
+   8 values of 9000 B exceed a UDP datagram. *)
+let id_rigs = Hashtbl.create 4
+
+let id_rig (backend : Apps.Backend.t) =
+  match Hashtbl.find_opt id_rigs backend.Apps.Backend.name with
+  | Some r -> r
+  | None ->
+      let rig = Apps.Rig.create ~n_clients:1 ~transport:`Tcp () in
+      let pool = Apps.Rig.data_pool rig ~name:"id-vals" ~classes:[ (16384, 64) ] in
+      let client = List.hd rig.Apps.Rig.clients in
+      let r = (rig, pool, client, backend.Apps.Backend.id_reader client) in
+      Hashtbl.replace id_rigs backend.Apps.Backend.name r;
+      r
+
+(* The copying backends stage a whole reply in one TX buffer, whose
+   largest class is 16 KiB: keep the values that fit in 15000 B. *)
+let staged_sizes (backend : Apps.Backend.t) sizes =
+  if backend.Apps.Backend.name = "cornflakes" then sizes
+  else
+    let rec fit total = function
+      | n :: rest when total + n <= 15_000 -> n :: fit (total + n) rest
+      | _ -> []
+    in
+    fit 0 sizes
+
+let reply_id_of (backend : Apps.Backend.t) ~id ~sizes =
+  let rig, pool, client, id_reader = id_rig backend in
+  let tr = rig.Apps.Rig.server_tr in
+  let msg = Wire.Dyn.create Apps.Proto.resp in
+  Option.iter (Wire.Dyn.set_int msg "id") id;
+  let values =
+    List.map
+      (fun n ->
+        let b = Mem.Pinned.Buf.alloc pool ~len:(max 1 n) in
+        Mem.Pinned.Buf.fill b (String.make n 'v');
+        let b = if n = 0 then Mem.Pinned.Buf.sub b ~off:0 ~len:0 else b in
+        Wire.Dyn.append msg "vals"
+          (Wire.Dyn.Payload
+             (backend.Apps.Backend.wrap tr (Mem.Pinned.Buf.view b)));
+        b)
+      (staged_sizes backend sizes)
+  in
+  let got = ref None in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      let before = Mem.Pinned.Buf.refcount buf in
+      let read = id_reader buf in
+      let after = Mem.Pinned.Buf.refcount buf in
+      let d = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      let decoded =
+        match Wire.Dyn.get_int d "id" with
+        | Some v -> Int64.to_int v
+        | None -> -1
+      in
+      Wire.Dyn.release d;
+      Mem.Arena.reset (Net.Transport.arena client);
+      Mem.Pinned.Buf.decr_ref buf;
+      got := Some (read, decoded, before, after));
+  backend.Apps.Backend.send tr ~dst:100 msg;
+  Mem.Arena.reset (Net.Transport.arena tr);
+  List.iter (fun b -> Mem.Pinned.Buf.decr_ref b) values;
+  Sim.Engine.run_all rig.Apps.Rig.engine;
+  match !got with
+  | Some r -> r
+  | None -> Alcotest.failf "%s: reply not delivered" backend.Apps.Backend.name
+
+let qcheck_id_reader_agrees =
+  let reply =
+    QCheck.(
+      triple (int_bound 3) int64
+        (list_of_size Gen.(int_bound 8) (int_bound 9000)))
+  in
+  QCheck.Test.make ~name:"id_reader agrees with recv for every backend"
+    ~count:40 reply (fun (kind, hi, sizes) ->
+      let id =
+        match kind with
+        | 0 -> None
+        | 1 -> Some 0L
+        | 2 -> Some (Int64.of_int max_int)
+        | _ -> Some (Int64.logor hi Int64.min_int)
+      in
+      List.iter
+        (fun backend ->
+          let name = backend.Apps.Backend.name in
+          let read, decoded, before, after = reply_id_of backend ~id ~sizes in
+          let want =
+            match id with Some v -> Int64.to_int v | None -> -1
+          in
+          if read <> decoded || read <> want then
+            QCheck.Test.fail_reportf "%s: id_reader %d, recv %d, sent %d" name
+              read decoded want;
+          if before <> after then
+            QCheck.Test.fail_reportf "%s: refcount %d -> %d across id_reader"
+              name before after)
+        Apps.Backend.all;
+      true)
+
 let suite =
   [
     Alcotest.test_case "kv all backends serve" `Slow test_kv_all_backends_serve;
@@ -227,4 +330,5 @@ let suite =
     Alcotest.test_case "no buffer leaks" `Quick test_no_buffer_leaks_across_requests;
     Alcotest.test_case "queue drops under burst" `Quick
       test_server_queue_drops_under_burst;
+    QCheck_alcotest.to_alcotest qcheck_id_reader_agrees;
   ]

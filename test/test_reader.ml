@@ -230,6 +230,120 @@ let test_rejects_overhanging_slot () =
   set_u32_le b 24 (String.length s - 4);
   expect_invalid "repeated table overhang" (Bytes.to_string b)
 
+(* --- a rejected frame keeps its references balanced ------------------- *)
+
+(* A 48-byte [Resp] frame with only [vals] present, holding two 8-byte
+   values: the first well-formed, the second's length overhanging the
+   object. Header: count word, bitmap 0x2, vals slot (table 16, count 2);
+   table at 16; payloads at 32 and 40. *)
+let resp_overhang_frame () =
+  let b = Bytes.make 48 'v' in
+  set_u32_le b 0 1;
+  set_u32_le b 4 0x2;
+  set_u32_le b 8 16;
+  set_u32_le b 12 2;
+  set_u32_le b 16 32;
+  set_u32_le b 20 8;
+  set_u32_le b 24 40;
+  set_u32_le b 28 100;
+  Bytes.to_string b
+
+let test_rejected_frame_releases_refs () =
+  let buf = Test_fuzz.make_buf (resp_overhang_frame ()) in
+  (match
+     Cornflakes.Send.deserialize Apps.Proto.schema Apps.Proto.resp buf
+   with
+  | d ->
+      Wire.Dyn.release d;
+      Alcotest.fail "Dyn parse accepted an overhanging value"
+  | exception Cornflakes.Format_.Malformed _ -> ());
+  Alcotest.(check int)
+    "Dyn parse released the first value's reference" 1
+    (Mem.Pinned.Buf.refcount buf);
+  (* The client's id read of the same frame: rejected, no reference taken. *)
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let registry = Mem.Registry.create (Mem.Addr_space.create ()) in
+  let tr = Net.Endpoint.transport (Net.Endpoint.create fabric registry ~id:1) in
+  let read_id = (Apps.Backend.cornflakes ()).Apps.Backend.id_reader tr in
+  (match read_id buf with
+  | id -> Alcotest.failf "id read accepted the frame (id %d)" id
+  | exception Wire.Reader.Invalid _ -> ());
+  Alcotest.(check int)
+    "id read left the refcount untouched" 1
+    (Mem.Pinned.Buf.refcount buf);
+  Mem.Pinned.Buf.decr_ref buf;
+  Alcotest.(check bool)
+    "owner's release frees the slot" false
+    (Mem.Pinned.Buf.is_live buf)
+
+(* --- reader edge cases ------------------------------------------------- *)
+
+let frame_with ?id ?name () =
+  let env = Test_format.make_env () in
+  let msg = Wire.Dyn.create everything in
+  Option.iter (Wire.Dyn.set_int msg "id") id;
+  Option.iter
+    (fun s -> Wire.Dyn.set_payload msg "name" (Test_format.payload env `Literal s))
+    name;
+  let _plan, buf = Test_format.serialize env msg in
+  buf
+
+let id_field = idx "id"
+
+let name_field = idx "name"
+
+(* Over random u64s (bit 63 included) and an absent field, [get_int_or]
+   is [Int64.to_int (get_u64_or ...)] — the native-int read drops
+   nothing but the box. *)
+let qcheck_get_int_or_matches_u64 =
+  QCheck.Test.make ~name:"get_int_or equals Int64.to_int get_u64_or"
+    ~count:300
+    QCheck.(pair (option int64) small_int)
+    (fun (id, default) ->
+      let r = Wire.Reader.create everything in
+      Wire.Reader.validate r (frame_with ?id ());
+      let want =
+        Int64.to_int
+          (Wire.Reader.get_u64_or r id_field ~default:(Int64.of_int default))
+      in
+      let got = Wire.Reader.get_int_or r id_field ~default in
+      if got <> want then
+        QCheck.Test.fail_reportf "get_int_or %d vs get_u64_or %d" got want;
+      (match id with
+      | Some v -> Alcotest.(check int) "get_int" (Int64.to_int v) (Wire.Reader.get_int r id_field)
+      | None -> ());
+      true)
+
+let test_rebinds_to_second_frame () =
+  let r = Wire.Reader.create everything in
+  let first = frame_with ~name:"first frame" () in
+  let second = frame_with ~id:9L ~name:"second" () in
+  Wire.Reader.validate r first;
+  Alcotest.(check string)
+    "first frame read" "first frame"
+    (Mem.View.to_string (Wire.Reader.payload_view r name_field));
+  Wire.Reader.validate r second;
+  Alcotest.(check string)
+    "view of the second frame" "second"
+    (Mem.View.to_string (Wire.Reader.payload_view r name_field));
+  Alcotest.(check int) "second frame's id" 9 (Wire.Reader.get_int_or r id_field ~default:(-1))
+
+let expect_reader_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accessor read with no validated frame" what
+  | exception Wire.Reader.Invalid _ -> ()
+
+let test_view_needs_validated_frame () =
+  let r = Wire.Reader.create everything in
+  expect_reader_invalid "before validate" (fun () ->
+      Wire.Reader.payload_view r name_field);
+  Wire.Reader.validate r (frame_with ~name:"bound" ());
+  ignore (Wire.Reader.payload_view r name_field);
+  Wire.Reader.clear r;
+  expect_reader_invalid "after clear" (fun () ->
+      Wire.Reader.payload_view r name_field)
+
 (* --- RX lifecycle under RefSan ----------------------------------------- *)
 
 module Refsan = Sanitizer.Refsan
@@ -326,6 +440,13 @@ let suite =
     Alcotest.test_case "rejects bad bitmaps" `Quick test_rejects_bad_bitmap;
     Alcotest.test_case "rejects overhanging slots" `Quick
       test_rejects_overhanging_slot;
+    Alcotest.test_case "rejected frame releases its references" `Quick
+      test_rejected_frame_releases_refs;
+    QCheck_alcotest.to_alcotest qcheck_get_int_or_matches_u64;
+    Alcotest.test_case "rebinds to the second frame" `Quick
+      test_rebinds_to_second_frame;
+    Alcotest.test_case "views need a validated frame" `Quick
+      test_view_needs_validated_frame;
     Alcotest.test_case "rx view lifecycle under refsan" `Quick
       test_rx_view_lifecycle;
     Alcotest.test_case "rx slot recycles and is reused" `Quick
