@@ -1,5 +1,6 @@
 (* Replicated KV cluster demo (§4's nested-object application): one primary,
    two backups; a put is acknowledged only after both backups applied it.
+   Exits 1 unless the put committed once and every backup holds the key.
 
    Run with:  dune exec examples/replicated_cluster.exe *)
 
@@ -17,11 +18,16 @@ let () =
     (Workload.Spec.Put { key = "demo-key"; sizes = [ 900 ] })
     client ~dst:Apps.Rig.server_id ~id:1;
   Sim.Engine.run_all rig.Apps.Rig.engine;
-  Printf.printf "committed puts: %d\n" (Replication.Replicated_kv.committed cluster);
+  let committed = Replication.Replicated_kv.committed cluster in
+  Printf.printf "committed puts: %d\n" committed;
+  let ok = ref (committed = 1) in
   List.iteri
     (fun i store ->
       match Kvstore.Store.get store ~key:"demo-key" with
       | Some v ->
           Printf.printf "backup %d holds %d bytes\n" i (Kvstore.Store.value_len v)
-      | None -> Printf.printf "backup %d missing the key!\n" i)
-    (Replication.Replicated_kv.backup_stores cluster)
+      | None ->
+          Printf.printf "backup %d missing the key!\n" i;
+          ok := false)
+    (Replication.Replicated_kv.backup_stores cluster);
+  if not !ok then exit 1

@@ -8,10 +8,12 @@
     pinned buffers and swap pointers — never updating values in place — per
     the Cornflakes memory-safety model (§4.1).
 
-    This is the only kv server and client in the repository: a cluster
-    shard runs the same server half over its own cpu, endpoint, store and
-    pool, and the cluster's clients use the same request writer and
-    response-id parser. *)
+    The client half is the only kv client in the repository: the
+    cluster's and the replicated store's clients use its request writer
+    and response-id parser. A cluster shard runs the server half over its
+    own cpu, endpoint, store and pool. The replicated store's primary is
+    the one other kv server: it reads requests in place and answers a put
+    only once every backup has applied it. *)
 
 (** {1 Server half} *)
 
