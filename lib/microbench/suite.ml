@@ -280,6 +280,11 @@ let make_benchmarks ~seed () =
   in
   let rxq = Nic.Device.attach_rx rx_nic rx_ring in
   let rx_wire = Bytes.make 1024 'r' in
+  (* Simulator event: one long-lived closure scheduled and fired per op,
+     as the NIC egress and fabric channels schedule theirs. *)
+  let ev_engine = Sim.Engine.create () in
+  let ev_fired = ref 0 in
+  let ev () = incr ev_fired in
   (* Arena pair: classic bump-and-mass-reset vs free-list recycling. *)
   let arena_space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create arena_space ~capacity:(1 lsl 16) in
@@ -424,9 +429,17 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          match Nic.Device.rx_deliver rxq rx_wire ~off:0 ~len:1024 with
-          | Some buf -> Mem.Pinned.Buf.decr_ref buf
-          | None -> ());
+          let buf = Nic.Device.rx_deliver rxq rx_wire ~off:0 ~len:1024 in
+          if buf != Mem.Pinned.Buf.none then Mem.Pinned.Buf.decr_ref buf);
+    };
+    (* One event through the engine's packed heap: push, pop, fire. *)
+    {
+      name = "sim-event";
+      tracked = true;
+      fn =
+        (fun () ->
+          Sim.Engine.schedule ev_engine ~after:10 ev;
+          Sim.Engine.run_all ev_engine);
     };
     (* Paired: arena chunk from the bump pointer (mass reset) vs recycled
        through the size-class free list. *)

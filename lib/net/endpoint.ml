@@ -36,7 +36,13 @@ type t = {
   rxq : Nic.Device.rxq; (* receive ring over [rx_pool] on [nic] *)
   arena : Mem.Arena.t;
   mutable rx_handler : src:int -> Mem.Pinned.Buf.t -> unit;
-  mutable held : Nic.Device.txd list option; (* queued posts, reversed *)
+  (* Send holds: posts made while [holding] queue in [held] (together with
+     those of released batches not yet due, in post order); each release
+     pushes its batch size on [released], whose event submits that many. *)
+  mutable holding : bool;
+  mutable held_n : int;
+  held : Nic.Device.txd Sim.Ring.t;
+  released : unit Sim.Chan.t;
   (* Coalesced posts parked for the next doorbell: a reusable scratch array
      (first [pending_n] slots live) — no per-batch list is built. *)
   mutable pending_txds : Nic.Device.txd array;
@@ -89,69 +95,21 @@ let engine t = Fabric.engine t.fabric
 let handle_wire t frame =
   let bytes = Nic.Device.wire_bytes frame in
   let frame_len = Nic.Device.wire_len frame in
-  let src, _dst = Packet.parse_header_bytes bytes ~len:frame_len in
+  let src = Packet.header_src bytes ~len:frame_len in
   let payload_len = frame_len - Packet.header_len in
-  if payload_len > 0 then
+  if payload_len > 0 then begin
     (* The frame is the sender device's pooled snapshot, valid only for
        this call — the device DMAs it into a posted receive buffer now,
        before the fabric releases it. The handler receives the delivery
        reference; the ring slot recycles when the refcount hits zero
        (i.e. after the handler and every retained view release). Drops
        (ring overrun) are counted inside the queue. *)
-    match
+    let buf =
       Nic.Device.rx_deliver t.rxq bytes ~off:Packet.header_len
         ~len:payload_len
-    with
-    | Some buf -> t.rx_handler ~src buf
-    | None -> ()
-
-let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
-  let space = Mem.Registry.space registry in
-  let tx_pool =
-    Mem.Pinned.Pool.create space
-      ~name:(Printf.sprintf "ep%d-tx" id)
-      ~classes:
-        (List.map
-           (fun size -> (size, config.tx_class_capacity))
-           [ 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ])
-  in
-  let rx_pool =
-    Mem.Pinned.Pool.create space
-      ~name:(Printf.sprintf "ep%d-rx" id)
-      ~classes:[ (16384, config.rx_capacity) ]
-  in
-  Mem.Registry.register registry tx_pool;
-  Mem.Registry.register registry rx_pool;
-  let nic =
-    match nic with
-    | Some nic -> nic
-    | None -> Nic.Device.create (Fabric.engine fabric) ~model:config.nic_model
-  in
-  let t =
-    {
-      id;
-      fabric;
-      registry;
-      cpu;
-      nic;
-      config;
-      tx_pool;
-      rx_pool;
-      rxq = Nic.Device.attach_rx ?cpu nic rx_pool;
-      arena = Mem.Arena.create space ~capacity:config.arena_capacity;
-      rx_handler =
-        (fun ~src:_ buf ->
-          Mem.Pinned.Buf.decr_ref ~site:"Endpoint.rx_default_drop" buf);
-      held = None;
-      pending_txds = [||];
-      pending_n = 0;
-      flush_scheduled = false;
-      udp_transport = None;
-    }
-  in
-  Nic.Device.set_on_wire nic (fun frame -> Fabric.inject fabric frame);
-  Fabric.attach fabric ~id ~rx:(fun frame -> handle_wire t frame);
-  t
+    in
+    if buf != Mem.Pinned.Buf.none then t.rx_handler ~src buf
+  end
 
 let id t = t.id
 
@@ -235,9 +193,72 @@ let submit t txd =
   end
 
 let post t txd =
-  match t.held with
-  | Some queued -> t.held <- Some (txd :: queued)
-  | None -> submit t txd
+  if t.holding then begin
+    Sim.Ring.push t.held 0 txd;
+    t.held_n <- t.held_n + 1
+  end
+  else submit t txd
+[@@alloc_free]
+
+(* A released batch is due: submit its [n] posts, the oldest in [held]. *)
+let submit_held t n =
+  for _ = 1 to n do
+    let txd = Sim.Ring.peek t.held in
+    Sim.Ring.drop t.held;
+    submit t txd
+  done
+
+let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
+  let space = Mem.Registry.space registry in
+  let tx_pool =
+    Mem.Pinned.Pool.create space
+      ~name:(Printf.sprintf "ep%d-tx" id)
+      ~classes:
+        (List.map
+           (fun size -> (size, config.tx_class_capacity))
+           [ 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ])
+  in
+  let rx_pool =
+    Mem.Pinned.Pool.create space
+      ~name:(Printf.sprintf "ep%d-rx" id)
+      ~classes:[ (16384, config.rx_capacity) ]
+  in
+  Mem.Registry.register registry tx_pool;
+  Mem.Registry.register registry rx_pool;
+  let nic =
+    match nic with
+    | Some nic -> nic
+    | None -> Nic.Device.create (Fabric.engine fabric) ~model:config.nic_model
+  in
+  let t =
+    {
+      id;
+      fabric;
+      registry;
+      cpu;
+      nic;
+      config;
+      tx_pool;
+      rx_pool;
+      rxq = Nic.Device.attach_rx ?cpu nic rx_pool;
+      arena = Mem.Arena.create space ~capacity:config.arena_capacity;
+      rx_handler =
+        (fun ~src:_ buf ->
+          Mem.Pinned.Buf.decr_ref ~site:"Endpoint.rx_default_drop" buf);
+      holding = false;
+      held_n = 0;
+      held = Sim.Ring.create ~dummy:Nic.Device.txd_none;
+      released = Sim.Chan.create (Fabric.engine fabric) ~dummy:();
+      pending_txds = [||];
+      pending_n = 0;
+      flush_scheduled = false;
+      udp_transport = None;
+    }
+  in
+  Sim.Chan.set_handler t.released (fun n () -> submit_held t n);
+  Nic.Device.set_on_wire nic (fun frame -> Fabric.inject fabric frame);
+  Fabric.attach fabric ~id ~rx:(fun frame -> handle_wire t frame);
+  t
 
 let write_header ?cpu t ~dst buf =
   Packet.write_header
@@ -325,18 +346,19 @@ let send_string t ~dst s =
 let set_rx t f = t.rx_handler <- f
 
 let begin_hold t =
-  if t.held <> None then invalid_arg "Endpoint.begin_hold: already holding";
-  t.held <- Some []
+  if t.holding then invalid_arg "Endpoint.begin_hold: already holding";
+  t.holding <- true;
+  t.held_n <- 0
 
 let release_hold t ~after =
-  match t.held with
-  | None -> invalid_arg "Endpoint.release_hold: not holding"
-  | Some queued ->
-      t.held <- None;
-      let batches = List.rev queued in
-      if batches <> [] then
-        Sim.Engine.schedule (engine t) ~after (fun () ->
-            List.iter (fun txd -> submit t txd) batches)
+  if not t.holding then invalid_arg "Endpoint.release_hold: not holding";
+  if after < 0 then invalid_arg "Endpoint.release_hold: negative delay";
+  t.holding <- false;
+  if t.held_n > 0 then
+    Sim.Chan.push t.released
+      ~time:(Sim.Engine.now (engine t) + after)
+      t.held_n ()
+[@@alloc_free]
 
 let charge_rx ?cpu _t ~len =
   match cpu with

@@ -188,7 +188,11 @@ val set_rx : t -> (src:int -> Mem.Pinned.Buf.t -> unit) -> unit
     to *measure* its service time dt, but the responses it produced must not
     reach the NIC before T+dt. [begin_hold] buffers descriptor posts;
     [release_hold ~after] replays them [after] ns later (order preserved).
-    CPU costs are charged at call time either way. *)
+    CPU costs are charged at call time either way. Released batches ride
+    one {!Sim.Chan}, so their release instants must not go backwards: a
+    release due before an earlier one raises [Invalid_argument] (the
+    request harness's releases are monotone — the next request starts only
+    after the previous release). *)
 val begin_hold : t -> unit
 
 val release_hold : t -> after:int -> unit

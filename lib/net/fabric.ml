@@ -1,9 +1,18 @@
+(* An attached endpoint. Fault-free deliveries all land one constant delay
+   after their inject, so their arrival times are monotone per destination
+   and they ride one channel; deliveries a fault delays, reorders or
+   duplicates are scheduled on their own. *)
+type dest = {
+  rx : Nic.Device.wire -> unit;
+  arrivals : Nic.Device.wire Sim.Chan.t;
+}
+
 type t = {
   engine : Sim.Engine.t;
   one_way_delay_ns : int;
   mutable loss_rate : float;
   rng : Sim.Rng.t;
-  endpoints : (int, Nic.Device.wire -> unit) Hashtbl.t;
+  endpoints : (int, dest) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
   dropped_by_dst : (int, int) Hashtbl.t;
@@ -40,10 +49,24 @@ let engine t = t.engine
 
 let one_way_delay_ns t = t.one_way_delay_ns
 
+(* Each scheduled delivery owns one reference on the frame: the receiving
+   NIC copies it into a posted rx buffer synchronously in [rx], so the
+   frame goes back to the sender's pool as soon as its last delivery (or
+   drop) is accounted. *)
+let deliver_now t rx w =
+  t.delivered <- t.delivered + 1;
+  rx w;
+  Nic.Device.wire_release w
+
+let deliver t ~after rx w =
+  Sim.Engine.schedule t.engine ~after (fun () -> deliver_now t rx w)
+
 let attach t ~id ~rx =
   if Hashtbl.mem t.endpoints id then
     invalid_arg (Printf.sprintf "Fabric.attach: duplicate endpoint %d" id);
-  Hashtbl.replace t.endpoints id rx
+  let arrivals = Sim.Chan.create t.engine ~dummy:Nic.Device.wire_none in
+  Sim.Chan.set_handler arrivals (fun _ w -> deliver_now t rx w);
+  Hashtbl.replace t.endpoints id { rx; arrivals }
 
 let set_loss_rate t r =
   check_loss_rate r;
@@ -58,20 +81,9 @@ let drop t ~dst =
   let prev = Option.value (Hashtbl.find_opt t.dropped_by_dst dst) ~default:0 in
   Hashtbl.replace t.dropped_by_dst dst (prev + 1)
 
-(* Each scheduled delivery owns one reference on the frame: the receiving
-   NIC copies it into a posted rx buffer synchronously in [rx], so the
-   frame goes back to the sender's pool as soon as its last delivery (or
-   drop) is accounted. *)
-let deliver t ~after rx w =
-  Sim.Engine.schedule t.engine ~after (fun () ->
-      t.delivered <- t.delivered + 1;
-      rx w;
-      Nic.Device.wire_release w)
-
 let inject t w =
-  let _src, dst =
-    Packet.parse_header_bytes (Nic.Device.wire_bytes w)
-      ~len:(Nic.Device.wire_len w)
+  let dst =
+    Packet.header_dst (Nic.Device.wire_bytes w) ~len:(Nic.Device.wire_len w)
   in
   let lost = t.loss_rate > 0.0 && Sim.Rng.bool t.rng t.loss_rate in
   if lost then begin
@@ -79,11 +91,11 @@ let inject t w =
     Nic.Device.wire_release w
   end
   else
-    match Hashtbl.find_opt t.endpoints dst with
-    | None ->
+    match Hashtbl.find t.endpoints dst with
+    | exception Not_found ->
         drop t ~dst;
         Nic.Device.wire_release w
-    | Some rx -> (
+    | { rx; arrivals } -> (
         let fault =
           match t.injector with
           | None -> None
@@ -114,7 +126,10 @@ let inject t w =
                sent in that window overtakes it. *)
             t.reordered <- t.reordered + 1;
             deliver t ~after:(3 * t.one_way_delay_ns) rx w
-        | None -> deliver t ~after:t.one_way_delay_ns rx w)
+        | None ->
+            Sim.Chan.push arrivals
+              ~time:(Sim.Engine.now t.engine + t.one_way_delay_ns)
+              0 w)
 
 let delivered t = t.delivered
 

@@ -39,12 +39,16 @@ let write_header buf ~off ~src ~dst =
   set_u32 buf (off + Off.src) src;
   set_u32 buf (off + Off.dst) dst
 
-(* The single parser: [len] is the frame length, not the buffer capacity —
-   pooled egress frames ride in rounded-up buffers. *)
-let parse_header_bytes b ~len =
-  if len < header_len then invalid_arg "Packet.parse_header: truncated";
-  (get_u32 b Off.src, get_u32 b Off.dst)
+(* The parser: [len] is the frame length, not the buffer capacity — pooled
+   egress frames ride in rounded-up buffers. One field per call, so the
+   per-packet paths build no pair. *)
+let check_len len =
+  if len < header_len then invalid_arg "Packet: truncated header"
 
-(* [Bytes.unsafe_of_string] is sound here because the parser only reads. *)
-let parse_header s =
-  parse_header_bytes (Bytes.unsafe_of_string s) ~len:(String.length s)
+let header_src b ~len =
+  check_len len;
+  get_u32 b Off.src
+
+let header_dst b ~len =
+  check_len len;
+  get_u32 b Off.dst

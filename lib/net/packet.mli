@@ -27,11 +27,10 @@ val max_payload : int
 (** [write_header buf ~off ~src ~dst] writes the 42-byte header. *)
 val write_header : Bytes.t -> off:int -> src:int -> dst:int -> unit
 
-(** [parse_header s] reads [(src, dst)] from a wire packet — a zero-copy
-    wrapper over {!parse_header_bytes}. Raises [Invalid_argument] if [s] is
-    shorter than a header. *)
-val parse_header : string -> int * int
+(** [header_src b ~len] and [header_dst b ~len] read the endpoint ids of
+    a wire frame; [len] is the frame length within [b] (whose capacity may
+    be larger). Raise [Invalid_argument] if [len] is shorter than a
+    header. *)
+val header_src : Bytes.t -> len:int -> int
 
-(** [parse_header_bytes b ~len] — the single header parser: [len] is the
-    frame length within [b] (whose capacity may be larger). *)
-val parse_header_bytes : Bytes.t -> len:int -> int * int
+val header_dst : Bytes.t -> len:int -> int

@@ -9,27 +9,6 @@ exception Ring_full
 
 type completion_fault = now:int -> [ `Lose | `Delay of int ] option
 
-(* Reusable transmit descriptor: a preallocated gather array refilled in
-   place per send and recycled through the device's free stack once its
-   completion delivers. The steady-state post path builds no per-send
-   lists — segment refs land in [d_segs], RefSan hold tokens in the
-   parallel [d_holds], and [d_release] (one long-lived closure, typically
-   the endpoint's decr_ref) runs per segment at completion. *)
-type txd = {
-  mutable d_segs : Mem.Pinned.Buf.t array; (* first [d_n] slots live *)
-  mutable d_n : int;
-  mutable d_holds : int option array; (* RefSan holds, parallel to d_segs *)
-  mutable d_release : Mem.Pinned.Buf.t -> unit;
-  mutable d_done : unit -> unit;
-}
-
-let noop () = ()
-
-let noop_release (_ : Mem.Pinned.Buf.t) = ()
-
-let new_txd () =
-  { d_segs = [||]; d_n = 0; d_holds = [||]; d_release = noop_release; d_done = noop }
-
 (* Egress frame: the device's payload snapshot, pooled and recycled. The
    gather copy lands in [w_buf] (capacity rounded up so steady-state sends
    reuse one buffer instead of carving a fresh multi-KB block out of the
@@ -42,8 +21,54 @@ type wire = {
   mutable w_buf : Bytes.t;
   mutable w_len : int;
   mutable w_refs : int;
-  w_dev : t;
+  w_pool : wire_pool; (* the owning device's free stack *)
 }
+
+(* Recycled egress frames: a fixed-capacity array stack, first [w_top]
+   slots live, so a release or an acquire moves no list cell. *)
+and wire_pool = { w_free : wire array; mutable w_top : int }
+
+(* The frame that names none: fills empty pool and descriptor slots. Its
+   pool has no room, so releasing it recycles nothing. *)
+let wire_none =
+  {
+    w_buf = Bytes.empty;
+    w_len = 0;
+    w_refs = 0;
+    w_pool = { w_free = [||]; w_top = 0 };
+  }
+
+(* Reusable transmit descriptor: a preallocated gather array refilled in
+   place per send and recycled through the device's free stack once its
+   completion delivers. The steady-state post path builds no per-send
+   lists — segment refs land in [d_segs], RefSan hold tokens in the
+   parallel [d_holds], and [d_release] (one long-lived closure, typically
+   the endpoint's decr_ref) runs per segment at completion. *)
+type txd = {
+  mutable d_segs : Mem.Pinned.Buf.t array; (* first [d_n] slots live *)
+  mutable d_n : int;
+  mutable d_holds : int option array; (* RefSan holds, parallel to d_segs *)
+  mutable d_release : Mem.Pinned.Buf.t -> unit;
+  mutable d_done : unit -> unit;
+  mutable d_wire : wire; (* the gathered frame, from post until egress *)
+}
+
+let noop () = ()
+
+let noop_release (_ : Mem.Pinned.Buf.t) = ()
+
+let new_txd () =
+  {
+    d_segs = [||];
+    d_n = 0;
+    d_holds = [||];
+    d_release = noop_release;
+    d_done = noop;
+    d_wire = wire_none;
+  }
+
+(* Fills vacated egress-channel slots; never posted. *)
+let txd_none = new_txd ()
 
 (* Receive queue: one per attached endpoint (a shared device carries one
    rxq per core, like a real multi-queue NIC under RSS). The ring is backed
@@ -52,7 +77,7 @@ type wire = {
    refcount reaches zero. Outstanding [Wire.Rc_view]s hold references, so
    [rx_outstanding] (live pool buffers) is exactly the number of deliveries
    the application still pins. *)
-and rxq = {
+type rxq = {
   q_dev : t;
   q_pool : Mem.Pinned.Pool.t;
   q_cpu : Memmodel.Cpu.t option;
@@ -66,8 +91,10 @@ and t = {
   model : Model.t;
   mutable rxqs : rxq list; (* newest first; aggregate stats sum these *)
   mutable on_wire : wire -> unit;
-  mutable wire_free : wire list; (* recycled egress frames *)
-  mutable wire_pooled : int;
+  wires : wire_pool;
+  (* Every egress event rides this channel: finish times are monotone
+     through [busy_until], so packets leave in post order. *)
+  egress : txd Sim.Chan.t;
   mutable busy_until : int; (* when the DMA/wire pipeline frees up *)
   mutable in_flight : int;
   mutable tx_packets : int;
@@ -102,72 +129,46 @@ let wire_retain w = w.w_refs <- w.w_refs + 1
 let wire_release w =
   w.w_refs <- w.w_refs - 1;
   if w.w_refs = 0 then begin
-    let t = w.w_dev in
-    if t.wire_pooled < wire_pool_cap then begin
-      t.wire_free <- w :: t.wire_free;
-      t.wire_pooled <- t.wire_pooled + 1
+    let p = w.w_pool in
+    if p.w_top < Array.length p.w_free then begin
+      p.w_free.(p.w_top) <- w;
+      p.w_top <- p.w_top + 1
     end
   end
+[@@alloc_free]
 
 let wire_capacity_for len =
   let c = ref 256 in
   while !c < len do c := !c * 2 done;
   !c
 
-let wire_acquire t len =
-  match t.wire_free with
-  | w :: rest when Bytes.length w.w_buf >= len ->
-      (* Steady state: packets are near-constant size, so the head of the
-         free list fits and the acquire is allocation-free. *)
-      t.wire_free <- rest;
-      t.wire_pooled <- t.wire_pooled - 1;
-      w.w_len <- len;
-      w.w_refs <- 1;
-      w
-  | free -> (
-      (* Head too small: scan for any fitting frame before allocating. *)
-      let rec take acc = function
-        | [] -> None
-        | w :: rest when Bytes.length w.w_buf >= len ->
-            Some (w, List.rev_append acc rest)
-        | w :: rest -> take (w :: acc) rest
-      in
-      match take [] free with
-      | Some (w, rest) ->
-          t.wire_free <- rest;
-          t.wire_pooled <- t.wire_pooled - 1;
-          w.w_len <- len;
-          w.w_refs <- 1;
-          w
-      | None ->
-          {
-            w_buf = Bytes.create (wire_capacity_for len);
-            w_len = len;
-            w_refs = 1;
-            w_dev = t;
-          })
+(* Index of the topmost pooled frame that holds [len] bytes, or -1. *)
+let rec fitting p i len =
+  if i < 0 || Bytes.length p.w_free.(i).w_buf >= len then i
+  else fitting p (i - 1) len
 
-let create engine ~model =
-  {
-    engine;
-    model;
-    rxqs = [];
-    on_wire = wire_release;
-    wire_free = [];
-    wire_pooled = 0;
-    busy_until = 0;
-    in_flight = 0;
-    tx_packets = 0;
-    tx_bytes = 0;
-    doorbells = 0;
-    txd_free = [||];
-    txd_top = 0;
-    completion_fault = None;
-    lost = [];
-    lost_completions = 0;
-    delayed_completions = 0;
-    reaped_completions = 0;
-  }
+let wire_acquire t len =
+  let p = t.wires in
+  let i = fitting p (p.w_top - 1) len in
+  if i < 0 then
+    {
+      w_buf = Bytes.create (wire_capacity_for len);
+      w_len = len;
+      w_refs = 1;
+      w_pool = p;
+    }
+  else begin
+    (* Steady state: packets are near-constant size, so the top of the
+       stack fits. A deeper fit trades places with the top first. *)
+    let w = p.w_free.(i) in
+    let top = p.w_top - 1 in
+    p.w_free.(i) <- p.w_free.(top);
+    p.w_free.(top) <- wire_none;
+    p.w_top <- top;
+    w.w_len <- len;
+    w.w_refs <- 1;
+    w
+  end
 
 let model t = t.model
 
@@ -195,10 +196,10 @@ let attach_rx ?cpu t pool =
    bytes move but no CPU cycles are charged: the NIC does the write, the
    host only sees the DDIO-installed lines. The returned buffer carries the
    delivery reference (refcount 1) — whoever consumes the delivery releases
-   it, and the ring slot recycles at refcount zero. [None] is an RX ring
-   overrun: the ring has no free buffer posted (every slot is pinned by an
-   outstanding delivery or view), so the frame drops, exactly as a real NIC
-   drops when the host can't keep up. *)
+   it, and the ring slot recycles at refcount zero. [Buf.none] is an RX
+   ring overrun: the ring has no free buffer posted (every slot is pinned
+   by an outstanding delivery or view), so the frame drops, exactly as a
+   real NIC drops when the host can't keep up. *)
 let rx_deliver q bytes ~off ~len =
   match Mem.Pinned.Buf.alloc ~site:"Nic.rx_dma" q.q_pool ~len with
   | buf ->
@@ -211,10 +212,10 @@ let rx_deliver q bytes ~off ~len =
       | None -> ());
       q.q_packets <- q.q_packets + 1;
       q.q_bytes <- q.q_bytes + len;
-      Some buf
+      buf
   | exception Mem.Pinned.Out_of_memory _ ->
       q.q_dropped <- q.q_dropped + 1;
-      None
+      Mem.Pinned.Buf.none
 
 let rxq_packets q = q.q_packets
 
@@ -354,6 +355,44 @@ let delayed_completions t = t.delayed_completions
 
 let reaped_completions t = t.reaped_completions
 
+(* A packet's last bit leaves the NIC. Egress happens regardless of the
+   CQE's fate: losing a completion does not claw the packet back off the
+   wire. An unbatched post's completion rides the same event
+   ([with_cqe = 1]); a batch's comes in its own coalesced CQE event. *)
+let egress t ~with_cqe txd =
+  let w = txd.d_wire in
+  txd.d_wire <- wire_none;
+  t.tx_packets <- t.tx_packets + 1;
+  t.tx_bytes <- t.tx_bytes + w.w_len;
+  t.on_wire w;
+  if with_cqe = 1 then deliver_txd t txd
+
+let create engine ~model =
+  let t =
+    {
+      engine;
+      model;
+      rxqs = [];
+      on_wire = wire_release;
+      wires = { w_free = Array.make wire_pool_cap wire_none; w_top = 0 };
+      egress = Sim.Chan.create engine ~dummy:txd_none;
+      busy_until = 0;
+      in_flight = 0;
+      tx_packets = 0;
+      tx_bytes = 0;
+      doorbells = 0;
+      txd_free = [||];
+      txd_top = 0;
+      completion_fault = None;
+      lost = [];
+      lost_completions = 0;
+      delayed_completions = 0;
+      reaped_completions = 0;
+    }
+  in
+  Sim.Chan.set_handler t.egress (fun with_cqe txd -> egress t ~with_cqe txd);
+  t
+
 (* --- Posting ----------------------------------------------------------- *)
 
 let take_holds txd ~site =
@@ -389,14 +428,8 @@ let post_txd t txd =
      write-protect each segment until the completion fires, turning any
      in-place mutation of posted bytes into a write-after-post diagnostic. *)
   take_holds txd ~site:"Nic.post";
-  let payload = gather t txd ~len:payload_bytes in
-  Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
-      t.tx_packets <- t.tx_packets + 1;
-      t.tx_bytes <- t.tx_bytes + payload.w_len;
-      (* Egress happens regardless of the CQE's fate: losing a completion
-         does not claw the packet back off the wire. *)
-      t.on_wire payload;
-      deliver_txd t txd)
+  txd.d_wire <- gather t txd ~len:payload_bytes;
+  Sim.Chan.push t.egress ~time:finish 1 txd
 
 (* Batched post: one doorbell covers every descriptor. The first descriptor
    pays the full per-descriptor PCIe fetch; the rest ride the same burst and
@@ -434,11 +467,8 @@ let post_txd_batch t txds ~n =
       t.busy_until <- finish;
       if finish > !last_finish then last_finish := finish;
       take_holds txd ~site:"Nic.post_batch";
-      let payload = gather t txd ~len:payload_bytes in
-      Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
-          t.tx_packets <- t.tx_packets + 1;
-          t.tx_bytes <- t.tx_bytes + payload.w_len;
-          t.on_wire payload))
+      txd.d_wire <- gather t txd ~len:payload_bytes;
+      Sim.Chan.push t.egress ~time:finish 0 txd)
     batch;
   (* One coalesced CQE: a completion fault hits the whole batch at once. *)
   Sim.Engine.schedule_at t.engine ~time:!last_finish (fun () ->

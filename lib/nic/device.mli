@@ -34,6 +34,10 @@ type txd
 
 val create : Sim.Engine.t -> model:Model.t -> t
 
+(** A descriptor that is never posted, for filling the empty slots of
+    holders such as a {!Sim.Ring} of queued descriptors. *)
+val txd_none : txd
+
 val model : t -> Model.t
 
 (** [txd_acquire t] takes a descriptor from the free stack (or allocates a
@@ -80,6 +84,11 @@ val wire_len : wire -> int
 
 val wire_retain : wire -> unit
 
+(** A frame that names no packet, for filling the empty slots of holders
+    such as a {!Sim.Chan} of frames in flight. It is never handed to an
+    [on_wire] hook; releasing it recycles nothing. *)
+val wire_none : wire
+
 val wire_release : wire -> unit
 
 (** [set_on_wire t f] registers the fabric hook: [f frame] is called when a
@@ -119,10 +128,10 @@ val attach_rx : ?cpu:Memmodel.Cpu.t -> t -> Mem.Pinned.Pool.t -> rxq
 (** [rx_deliver q bytes ~off ~len] DMAs [bytes[off, off+len)] into a posted
     receive buffer and returns it with the delivery reference (refcount 1);
     the consumer must [decr_ref] when done (directly or by handing the last
-    [Rc_view] back). [None] means RX ring overrun — no free buffer was
-    posted — and the frame is dropped and counted. No CPU cycles are
-    charged: the device does the write. *)
-val rx_deliver : rxq -> Bytes.t -> off:int -> len:int -> Mem.Pinned.Buf.t option
+    [Rc_view] back). {!Mem.Pinned.Buf.none} (test with [==]) means RX
+    ring overrun — no free buffer was posted — and the frame is dropped
+    and counted. No CPU cycles are charged: the device does the write. *)
+val rx_deliver : rxq -> Bytes.t -> off:int -> len:int -> Mem.Pinned.Buf.t
 
 val rxq_packets : rxq -> int
 

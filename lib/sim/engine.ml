@@ -3,9 +3,27 @@ type t = {
   mutable seq : int;
   heap : (unit -> unit) Heap.t;
   mutable quiesce_hooks : (unit -> unit) list; (* run when the queue drains *)
+  fire_one : int -> (unit -> unit) -> unit; (* [fire t], built once *)
 }
 
-let create () = { now = 0; seq = 0; heap = Heap.create (); quiesce_hooks = [] }
+let noop () = ()
+
+let fire t time f =
+  t.now <- time;
+  f ()
+
+let create () =
+  let heap = Heap.create ~dummy:noop in
+  let rec t =
+    {
+      now = 0;
+      seq = 0;
+      heap;
+      quiesce_hooks = [];
+      fire_one = (fun time f -> fire t time f);
+    }
+  in
+  t
 
 let now t = t.now
 
@@ -15,30 +33,24 @@ let schedule_at t ~time f =
       (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time t.now);
   t.seq <- t.seq + 1;
   Heap.push t.heap ~time ~seq:t.seq f
+[@@alloc_free]
 
 let schedule t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.now + after) f
 
-let fire t time f =
-  t.now <- time;
-  f ()
-
 let run t ~until =
-  let fire_one = fire t in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_time t.heap with
-    | Some time when time <= until -> ignore (Heap.pop_into t.heap fire_one)
-    | Some _ | None -> continue := false
+  while (not (Heap.is_empty t.heap)) && Heap.min_time t.heap <= until do
+    ignore (Heap.pop_into t.heap t.fire_one)
   done;
   if t.now < until then t.now <- until
+[@@alloc_free]
 
 let run_all t =
-  let fire_one = fire t in
-  while Heap.pop_into t.heap fire_one do
+  while Heap.pop_into t.heap t.fire_one do
     ()
   done
+[@@alloc_free]
 
 let pending t = Heap.length t.heap
 

@@ -18,12 +18,16 @@ val now : t -> int
 val schedule : t -> after:int -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f] runs [f ()] at absolute [time], which must not be
-    in the past. *)
+    in the past. The event takes the next sequence number, which orders it
+    after every event already scheduled for the same instant. Scheduling
+    allocates nothing beyond [f] itself: a caller that schedules one
+    long-lived closure (see {!Chan}) adds no heap words per event. *)
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
-(** [run t ~until] executes events in timestamp order until the queue is
-    empty or the next event is after [until]; the clock finishes at [until]
-    or at the last event time, whichever is larger. *)
+(** [run t ~until] executes events in [(time, seq)] order until the queue
+    is empty or the next event is after [until]; the clock finishes at
+    [until] or at the last event time, whichever is larger. A fired event's
+    closure is no longer referenced by the queue once it runs. *)
 val run : t -> until:int -> unit
 
 (** [run_all t] drains the event queue completely. *)

@@ -1,12 +1,21 @@
-(** Array-backed binary min-heap keyed by [(time, seq)].
+(** Array-backed 4-ary min-heap keyed by [(time, seq)].
 
     The event engine needs a stable priority queue: two events scheduled for
     the same instant must fire in scheduling order, so the key is the pair of
-    the event time and a monotonically increasing sequence number. *)
+    the event time and a monotonically increasing sequence number.
+
+    The heap order is kept in parallel flat int arrays — [time], [seq] and
+    the slot of each entry's payload — while payloads stay in their slot
+    from push to pop, so a sift moves only ints. {!push}, {!pop_into} and
+    {!min_time} allocate nothing once the arrays have grown to the queue's
+    high-water mark. A popped payload is no longer referenced by the heap:
+    its slot is refilled with the [dummy] given at creation. *)
 
 type 'a t
 
-val create : unit -> 'a t
+(** [create ~dummy] is an empty heap; [dummy] fills unused payload slots
+    and is never returned. *)
+val create : dummy:'a -> 'a t
 
 val length : 'a t -> int
 
@@ -25,7 +34,6 @@ val pop_min : 'a t -> (int * int * 'a) option
     [f] may {!push}. Returns [false] on an empty heap ([f] not called). *)
 val pop_into : 'a t -> (int -> 'a -> unit) -> bool
 
-(** [peek_time heap] is the time of the minimum element, if any. *)
-val peek_time : 'a t -> int option
-
-val clear : 'a t -> unit
+(** [min_time heap] is the time of the minimum element. Raises
+    [Invalid_argument] on an empty heap. *)
+val min_time : 'a t -> int

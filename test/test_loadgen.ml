@@ -159,6 +159,76 @@ let test_held_sends_are_delayed () =
     (Printf.sprintf "arrival %d after hold" !arrival)
     true (!arrival >= 5_850)
 
+(* Two holds released for the same instant post in hold order, and a
+   release due before an earlier one is refused. *)
+let test_held_batches_post_in_order () =
+  let rig = Apps.Rig.create ~n_clients:1 () in
+  let engine = rig.Apps.Rig.engine in
+  let ep = rig.Apps.Rig.server_ep in
+  let client = List.hd rig.Apps.Rig.clients in
+  let got = ref [] in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      got := Mem.View.to_string (Mem.Pinned.Buf.view buf) :: !got;
+      Mem.Pinned.Buf.decr_ref buf);
+  let send s = Net.Endpoint.send_string ep ~dst:100 s in
+  Net.Endpoint.begin_hold ep;
+  send "a1";
+  send "a2";
+  Net.Endpoint.release_hold ep ~after:2_000;
+  Net.Endpoint.begin_hold ep;
+  send "b1";
+  Net.Endpoint.release_hold ep ~after:2_000;
+  Net.Endpoint.begin_hold ep;
+  send "c1";
+  Alcotest.check_raises "release before the previous one"
+    (Invalid_argument "Chan.push: time 1000 is before the previous push at 2000")
+    (fun () -> Net.Endpoint.release_hold ep ~after:1_000);
+  Sim.Engine.run_all engine;
+  Alcotest.(check (list string)) "post order" [ "a1"; "a2"; "b1" ] (List.rev !got)
+
+(* The server's request ring: a burst deep enough to grow the ring, a
+   second burst after the head has moved (so the ring wraps and then grows
+   while wrapped), and a queue limit the second burst overruns. Requests
+   must be served in arrival order, and every one is either served or
+   counted as dropped. *)
+let test_server_ring_fifo () =
+  let rig = Apps.Rig.create ~n_clients:1 () in
+  let engine = rig.Apps.Rig.engine in
+  let srv =
+    Loadgen.Server.create ~queue_limit:40 rig.Apps.Rig.server_tr rig.Apps.Rig.cpu
+  in
+  let served = ref [] in
+  Loadgen.Server.set_handler srv (fun ~src:_ buf ->
+      Memmodel.Cpu.charge rig.Apps.Rig.cpu Memmodel.Cpu.App 3000.0;
+      served := parse_fn buf :: !served;
+      Mem.Pinned.Buf.decr_ref buf);
+  let client = List.hd rig.Apps.Rig.clients in
+  let burst lo hi =
+    for id = lo to hi do
+      send_fn client ~dst:Apps.Rig.server_id ~id
+    done
+  in
+  burst 0 23;
+  Sim.Engine.run engine ~until:10_000;
+  let before_second = List.length !served in
+  if before_second = 0 || before_second >= 24 then
+    Alcotest.failf "first burst should be part-served at 10us, got %d"
+      before_second;
+  burst 24 63;
+  Sim.Engine.run_all engine;
+  let served = List.rev !served in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "served in arrival order" true (increasing served);
+  Alcotest.(check int) "served + dropped" 64
+    (List.length served + Loadgen.Server.dropped srv);
+  Alcotest.(check bool) "queue limit dropped some" true
+    (Loadgen.Server.dropped srv > 0);
+  Alcotest.(check int) "served count" (List.length served)
+    (Loadgen.Server.served srv)
+
 (* The drivers over the TCP transport: an echo fixture answering through
    the rig's server transport, driven open-loop at a rate far below
    capacity. Claims: Poisson arrivals are admitted (achieved tracks
@@ -228,4 +298,7 @@ let suite =
       test_driver_ids_per_call;
     Alcotest.test_case "hold rejects nesting" `Quick test_hold_rejects_nesting;
     Alcotest.test_case "held sends delayed" `Quick test_held_sends_are_delayed;
+    Alcotest.test_case "held batches post in order" `Quick
+      test_held_batches_post_in_order;
+    Alcotest.test_case "server ring fifo and drops" `Quick test_server_ring_fifo;
   ]

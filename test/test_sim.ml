@@ -1,7 +1,7 @@
 (* Tests for the discrete-event engine, PRNG, and samplers. *)
 
 let test_heap_ordering () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:(-1) in
   let rng = Sim.Rng.create ~seed:42 in
   let n = 1000 in
   for i = 0 to n - 1 do
@@ -21,7 +21,7 @@ let test_heap_ordering () =
   Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h)
 
 let test_heap_fifo_same_time () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:(-1) in
   for i = 0 to 9 do
     Sim.Heap.push h ~time:7 ~seq:i i
   done;
@@ -135,7 +135,7 @@ let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun pairs ->
-      let h = Sim.Heap.create () in
+      let h = Sim.Heap.create ~dummy:() in
       List.iteri (fun i (t, _) -> Sim.Heap.push h ~time:t ~seq:i ()) pairs;
       let rec drain last =
         match Sim.Heap.pop_min h with
@@ -143,6 +143,117 @@ let qcheck_heap_sorted =
         | Some (t, _, ()) -> t >= last && drain t
       in
       drain min_int)
+
+(* A fired event's closure (and everything it captured — frames, buffers)
+   must not stay reachable from the queue. The schedule happens in its own
+   frame so no stack slot keeps the bytes alive. *)
+let[@inline never] schedule_capturing e =
+  let b = Bytes.make 64 'x' in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some b);
+  Sim.Engine.schedule e ~after:5 (fun () ->
+      ignore (Sys.opaque_identity (Bytes.length b)));
+  w
+
+let test_engine_drops_fired_events () =
+  let e = Sim.Engine.create () in
+  let w = schedule_capturing e in
+  Sim.Engine.run_all e;
+  Gc.full_major ();
+  Alcotest.(check bool) "fired closure collected" false (Weak.check w 0);
+  (* The engine itself stays live across the collection. *)
+  Alcotest.(check int) "queue empty" 0 (Sim.Engine.pending e)
+
+(* Interleaved pushes and pops against a sorted reference list. [Pop_push k]
+   pops through [pop_into] and, from inside its callback, pushes [k] more
+   entries at the popped instant — what an event does when it schedules
+   work for "now". Payloads are the sequence numbers. *)
+type heap_op = Push of int | Pop | Pop_push of int
+
+let heap_op_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      frequency
+        [
+          (4, map (fun t -> Push t) (int_bound 20));
+          (2, return Pop);
+          (1, map (fun k -> Pop_push k) (int_bound 3));
+        ])
+  in
+  let print = function
+    | Push t -> Printf.sprintf "Push %d" t
+    | Pop -> "Pop"
+    | Pop_push k -> Printf.sprintf "Pop_push %d" k
+  in
+  list_of_size Gen.(int_bound 200) (make ~print gen)
+
+let qcheck_heap_matches_reference =
+  QCheck.Test.make ~name:"heap pop_into matches sorted reference" ~count:300
+    heap_op_arb (fun ops ->
+      let h = Sim.Heap.create ~dummy:(-1) in
+      let model = ref [] and next = ref 0 in
+      let push time =
+        let seq = !next in
+        incr next;
+        Sim.Heap.push h ~time ~seq seq;
+        model := List.merge compare [ (time, seq) ] !model
+      in
+      let pop extra =
+        match !model with
+        | [] -> not (Sim.Heap.pop_into h (fun _ _ -> ()))
+        | expected :: rest ->
+            model := rest;
+            let got = ref (-1, -1) in
+            let popped =
+              Sim.Heap.pop_into h (fun time seq ->
+                  got := (time, seq);
+                  for _ = 1 to extra do
+                    push time
+                  done)
+            in
+            popped && !got = expected
+      in
+      let step = function
+        | Push t ->
+            push t;
+            true
+        | Pop -> pop 0
+        | Pop_push k -> pop k
+      in
+      let rec drain () = !model = [] || (pop 0 && drain ()) in
+      List.for_all step ops && drain () && Sim.Heap.is_empty h)
+
+(* A channel's entries fire in push order, each in its own (time, seq)
+   slot: a plain event scheduled between two pushes at the same instant
+   fires between them. *)
+let test_chan_fires_in_seq_slots () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let ch = Sim.Chan.create e ~dummy:"" in
+  Sim.Chan.set_handler ch (fun n s -> log := Printf.sprintf "%s%d" s n :: !log);
+  Sim.Chan.push ch ~time:10 1 "a";
+  Sim.Engine.schedule_at e ~time:10 (fun () -> log := "b" :: !log);
+  Sim.Chan.push ch ~time:10 2 "c";
+  Sim.Engine.schedule_at e ~time:5 (fun () -> log := "early" :: !log);
+  Sim.Chan.push ch ~time:30 3 "d";
+  Alcotest.(check int) "pending" 3 (Sim.Chan.length ch);
+  Sim.Engine.run_all e;
+  Alcotest.(check (list string))
+    "order" [ "early"; "a1"; "b"; "c2"; "d3" ] (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Sim.Chan.length ch)
+
+let test_chan_rejects_earlier_push () =
+  let e = Sim.Engine.create () in
+  let ch = Sim.Chan.create e ~dummy:() in
+  Sim.Chan.set_handler ch (fun _ () -> ());
+  Sim.Chan.push ch ~time:20 0 ();
+  Alcotest.check_raises "earlier push"
+    (Invalid_argument "Chan.push: time 10 is before the previous push at 20")
+    (fun () -> Sim.Chan.push ch ~time:10 0 ());
+  (* The rejected push left nothing behind: one event, one entry. *)
+  Alcotest.(check int) "one entry" 1 (Sim.Chan.length ch);
+  Alcotest.(check int) "one event" 1 (Sim.Engine.pending e)
 
 let suite =
   [
@@ -159,4 +270,11 @@ let suite =
     Alcotest.test_case "zipf n=1" `Quick test_zipf_single;
     Alcotest.test_case "discrete sampler" `Quick test_discrete_sampler;
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+    QCheck_alcotest.to_alcotest qcheck_heap_matches_reference;
+    Alcotest.test_case "engine drops fired events" `Quick
+      test_engine_drops_fired_events;
+    Alcotest.test_case "chan fires in seq slots" `Quick
+      test_chan_fires_in_seq_slots;
+    Alcotest.test_case "chan rejects earlier push" `Quick
+      test_chan_rejects_earlier_push;
   ]
