@@ -15,76 +15,19 @@ let transport_arg =
            stack (buffers held until cumulative ACK). Experiments that pin \
            a transport (fig9, tcp) ignore this.")
 
-(* --- experiments ------------------------------------------------------- *)
+(* --- experiments: all, one command per id, experiments <id> ----------- *)
 
-let experiments_cmd =
-  let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
-           ~doc:"Experiment ids (default: all). See --list.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced run budgets.")
-  in
-  let list =
-    Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for independent experiment configs.")
-  in
-  let run ids quick list jobs transport =
-    if list then
-      List.iter
-        (fun (e : Experiments.Registry.entry) ->
-          Printf.printf "%-10s %s\n" e.Experiments.Registry.id
-            e.Experiments.Registry.title)
-        Experiments.Registry.all
-    else begin
-      Experiments.Util.set_quick quick;
-      Apps.Rig.set_default_transport transport;
-      Par.Pool.set_default_jobs (max 1 jobs);
-      let entries =
-        match ids with
-        | [] -> Experiments.Registry.all
-        | ids ->
-            List.map
-              (fun id ->
-                match Experiments.Registry.find id with
-                | Some e -> e
-                | None ->
-                    Printf.eprintf "unknown experiment %S; try --list\n" id;
-                    exit 1)
-              ids
-      in
-      List.iter
-        (fun (e : Experiments.Registry.entry) ->
-          Printf.printf "== [%s] %s ==\n%!" e.Experiments.Registry.id
-            e.Experiments.Registry.title;
-          e.Experiments.Registry.run ())
-        entries
-    end
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Run paper-reproduction experiments")
-    Term.(const run $ ids $ quick $ list $ jobs $ transport_arg)
-
-(* --- parallel harness: all / per-figure / bench ------------------------- *)
-
-(* Shared flags. --jobs defaults to cores-1 (clamped to 1): independent
-   experiment configs fan out over that many worker domains, and the merge
-   is deterministic, so output is byte-identical to --jobs 1. *)
+(* One flag set for every way of running experiments. Independent
+   experiment configs fan out over --jobs domains, and the merge is
+   deterministic, so output is byte-identical to --jobs 1. *)
 
 let jobs_arg =
   Arg.(
-    value
-    & opt int (Par.Pool.recommended_jobs ())
+    value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for independent experiment configs (1 = serial; \
-           default: available cores minus one). Results are byte-identical \
-           at any width.")
+          "Worker domains for independent experiment configs (default 1 = \
+           serial). Results are byte-identical at any width.")
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced run budgets.")
@@ -101,12 +44,19 @@ let seed_arg =
     & opt (some int) None
     & info [ "seed" ] ~docv:"N" ~doc:"Seed every Sim.Rng for reproducible runs.")
 
-let setup ~quick ~sanitize ~seed ~jobs ~transport =
-  Experiments.Util.set_quick quick;
-  if sanitize then Cornflakes.Config.set_sanitize true;
-  (match seed with Some s -> Apps.Rig.set_default_seed s | None -> ());
-  Apps.Rig.set_default_transport transport;
-  Par.Pool.set_default_jobs (max 1 jobs)
+(* Applies the flags to the process-wide settings every experiment reads;
+   evaluating the term is what runs it. *)
+let setup_term =
+  let setup quick sanitize seed jobs transport =
+    Experiments.Util.set_quick quick;
+    if sanitize then Cornflakes.Config.set_sanitize true;
+    (match seed with Some s -> Apps.Rig.set_default_seed s | None -> ());
+    Apps.Rig.set_default_transport transport;
+    Par.Pool.set_default_jobs (max 1 jobs)
+  in
+  Term.(
+    const setup $ quick_arg $ sanitize_arg $ seed_arg $ jobs_arg
+    $ transport_arg)
 
 let run_entries entries =
   List.iter
@@ -118,17 +68,47 @@ let run_entries entries =
   if Cornflakes.Config.sanitize () then
     print_endline ("\n" ^ Sanitizer.Report.grand_total_line ())
 
-let all_cmd =
-  let run quick sanitize seed jobs transport =
-    setup ~quick ~sanitize ~seed ~jobs ~transport;
-    run_entries Experiments.Registry.all
+let experiments_cmd =
+  let ids =
+    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
+           ~doc:"Experiment ids (default: all). See --list.")
   in
+  let list =
+    Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
+  in
+  let run ids list () =
+    if list then
+      List.iter
+        (fun (e : Experiments.Registry.entry) ->
+          Printf.printf "%-10s %s\n" e.Experiments.Registry.id
+            e.Experiments.Registry.title)
+        Experiments.Registry.all
+    else
+      run_entries
+        (match ids with
+        | [] -> Experiments.Registry.all
+        | ids ->
+            List.map
+              (fun id ->
+                match Experiments.Registry.find id with
+                | Some e -> e
+                | None ->
+                    Printf.eprintf "unknown experiment %S; try --list\n" id;
+                    exit 1)
+              ids)
+  in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:
+         "Run paper-reproduction experiments by id (the route to ids that a \
+          top-level command shadows, such as faults)")
+    Term.(const run $ ids $ list $ setup_term)
+
+let all_cmd =
   Cmd.v
     (Cmd.info "all"
        ~doc:"Run every paper-reproduction experiment (honors --jobs)")
-    Term.(
-      const run $ quick_arg $ sanitize_arg $ seed_arg $ jobs_arg
-      $ transport_arg)
+    Term.(const (fun () -> run_entries Experiments.Registry.all) $ setup_term)
 
 (* One subcommand per registry entry (`cornflakes fig3 --quick --jobs 4`),
    except ids that would shadow an existing top-level command — those stay
@@ -144,17 +124,11 @@ let figure_cmds =
     (fun (e : Experiments.Registry.entry) ->
       if List.mem e.Experiments.Registry.id reserved_ids then None
       else
-        let run quick sanitize seed jobs transport =
-          setup ~quick ~sanitize ~seed ~jobs ~transport;
-          run_entries [ e ]
-        in
         Some
           (Cmd.v
              (Cmd.info e.Experiments.Registry.id
                 ~doc:e.Experiments.Registry.title)
-             Term.(
-               const run $ quick_arg $ sanitize_arg $ seed_arg $ jobs_arg
-               $ transport_arg)))
+             Term.(const (fun () -> run_entries [ e ]) $ setup_term)))
     Experiments.Registry.all
 
 let bench_cmd =

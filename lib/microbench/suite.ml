@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the real serializer hot paths: wall-clock
    ns/op of this OCaml implementation plus minor-heap words/op from a
-   counted loop around [Gc.minor_words]. Shared by `bench/main.exe` and
-   the `cornflakes bench` subcommand.
+   counted loop around [Gc.minor_words]. Run by the `cornflakes_cli bench`
+   subcommand.
 
    Parallelism: words/op is deterministic per benchmark (minor words are
    per-domain in OCaml 5), so with --jobs > 1 each benchmark's words loop

@@ -1,5 +1,5 @@
-(** Bechamel microbenchmarks of the serializer hot paths, shared by
-    `bench/main.exe` and the `cornflakes bench` subcommand.
+(** Bechamel microbenchmarks of the serializer hot paths, run by
+    the `cornflakes_cli bench` subcommand.
 
     ns/op comes from Bechamel (always measured serially), minor words/op
     from a counted [Gc.minor_words] loop (parallelized across pool jobs

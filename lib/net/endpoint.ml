@@ -13,16 +13,9 @@ let default_config =
     tx_class_capacity = 2048;
     rx_capacity = 4096;
     arena_capacity = 1 lsl 20;
-    tx_batch = 0;
+    tx_batch = 1;
     tx_batch_timeout_ns = 500;
   }
-
-(* Consulted when [config.tx_batch = 0]; the bench harness flips it to turn
-   doorbell coalescing on fleet-wide without threading a config through
-   every rig constructor. *)
-let default_tx_batch = Atomic.make 1
-
-let set_default_tx_batch n = Atomic.set default_tx_batch (max 1 n)
 
 type t = {
   id : int;
@@ -88,8 +81,6 @@ and transport = {
   tr_set_rx : (src:int -> Mem.Pinned.Buf.t -> unit) -> unit;
 }
 
-let tx_batch t = if t.config.tx_batch > 0 then t.config.tx_batch else Atomic.get default_tx_batch
-
 let engine t = Fabric.engine t.fabric
 
 let handle_wire t frame =
@@ -144,7 +135,7 @@ let charge_post ?cpu t ~nsge =
          batch, so each send is charged its amortized share. *)
       Memmodel.Cpu.charge cpu Memmodel.Cpu.Tx
         ((float_of_int nsge *. p.Memmodel.Params.cost_sg_post)
-        +. (p.Memmodel.Params.cost_doorbell /. float_of_int (tx_batch t))
+        +. (p.Memmodel.Params.cost_doorbell /. float_of_int t.config.tx_batch)
         +. p.Memmodel.Params.cost_tx_packet)
 
 (* One long-lived release closure shared by every descriptor: the stack's
@@ -179,10 +170,10 @@ let flush_tx t =
    fills or the flush timer fires — so a lone send on an idle endpoint still
    leaves within [tx_batch_timeout_ns]. *)
 let submit t txd =
-  if tx_batch t <= 1 then Nic.Device.post_txd t.nic txd
+  if t.config.tx_batch <= 1 then Nic.Device.post_txd t.nic txd
   else begin
     pending_park t txd;
-    if t.pending_n >= tx_batch t then flush_tx t
+    if t.pending_n >= t.config.tx_batch then flush_tx t
     else if not t.flush_scheduled then begin
       t.flush_scheduled <- true;
       Sim.Engine.schedule (engine t) ~after:t.config.tx_batch_timeout_ns
@@ -209,6 +200,7 @@ let submit_held t n =
   done
 
 let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
+  if config.tx_batch < 1 then invalid_arg "Endpoint.create: tx_batch < 1";
   let space = Mem.Registry.space registry in
   let tx_pool =
     Mem.Pinned.Pool.create space

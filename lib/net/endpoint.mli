@@ -22,9 +22,7 @@
     TX doorbell coalescing: every send path routes descriptors through the
     same batching layer. [config.tx_batch] descriptors share one doorbell
     (a partial batch flushes after [tx_batch_timeout_ns], or explicitly via
-    [flush_tx]); [tx_batch = 1] rings per send, and the default [tx_batch =
-    0] means "follow [set_default_tx_batch]'s process-wide setting", itself
-    1 unless a harness raises it.
+    [flush_tx]); [tx_batch = 1], the default, rings per send.
 
     Ownership: the stack takes over the caller's reference on every segment
     and releases it when the NIC completion fires — the use-after-free
@@ -93,17 +91,12 @@ type config = {
   arena_capacity : int;
   tx_batch : int;
       (* TX doorbell coalescing: descriptors per doorbell. 1 = ring per
-         send (the classic behavior); 0 = follow [set_default_tx_batch]'s
-         process-wide default (itself 1 unless changed). *)
+         send (the classic behavior and the default); must be >= 1. *)
   tx_batch_timeout_ns : int;
       (* flush-on-idle: a partial batch leaves after this long *)
 }
 
 val default_config : config
-
-(** Process-wide default batch size used by endpoints whose config says
-    [tx_batch = 0]; clamped to >= 1. Set before driving traffic. *)
-val set_default_tx_batch : int -> unit
 
 (** [create ?cpu ?nic ?config fabric registry ~id] — pass [nic] to share one
     NIC device between several endpoints (multicore experiments: cores share

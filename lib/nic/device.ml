@@ -95,6 +95,12 @@ and t = {
   (* Every egress event rides this channel: finish times are monotone
      through [busy_until], so packets leave in post order. *)
   egress : txd Sim.Chan.t;
+  (* Batched posts' descriptors awaiting their coalesced CQE, in post
+     order, and one CQE event per batch carrying its size. A batch's CQE is
+     due at [busy_until] after its last packet, which never decreases, so
+     the CQEs fire in post order and each takes the front of the ring. *)
+  cqe_wait : txd Sim.Ring.t;
+  cqes : unit Sim.Chan.t;
   mutable busy_until : int; (* when the DMA/wire pipeline frees up *)
   mutable in_flight : int;
   mutable tx_packets : int;
@@ -328,18 +334,29 @@ let deliver_txd t txd =
       Sim.Engine.schedule t.engine ~after:extra (fun () -> finish_txd t txd)
   | None -> finish_txd t txd
 
-(* Coalesced CQE for a batch: one fate decision covers every descriptor. *)
-let deliver_txd_batch t txds =
-  let n = Array.length txds in
+let pop_cqe_wait t =
+  let txd = Sim.Ring.peek t.cqe_wait in
+  Sim.Ring.drop t.cqe_wait;
+  txd
+
+(* Coalesced CQE for the oldest batch of [n] descriptors: one fate decision
+   covers every descriptor. *)
+let deliver_txd_batch t n =
   match cqe_fate t with
+  | None ->
+      for _ = 1 to n do
+        finish_txd t (pop_cqe_wait t)
+      done
   | Some `Lose ->
       t.lost_completions <- t.lost_completions + n;
-      Array.iter (fun txd -> t.lost <- txd :: t.lost) txds
+      for _ = 1 to n do
+        t.lost <- pop_cqe_wait t :: t.lost
+      done
   | Some (`Delay extra) ->
       t.delayed_completions <- t.delayed_completions + n;
+      let txds = Array.init n (fun _ -> pop_cqe_wait t) in
       Sim.Engine.schedule t.engine ~after:extra (fun () ->
           Array.iter (finish_txd t) txds)
-  | None -> Array.iter (finish_txd t) txds
 
 let reap_lost t =
   let lost = t.lost in
@@ -376,6 +393,8 @@ let create engine ~model =
       on_wire = wire_release;
       wires = { w_free = Array.make wire_pool_cap wire_none; w_top = 0 };
       egress = Sim.Chan.create engine ~dummy:txd_none;
+      cqe_wait = Sim.Ring.create ~dummy:txd_none;
+      cqes = Sim.Chan.create engine ~dummy:();
       busy_until = 0;
       in_flight = 0;
       tx_packets = 0;
@@ -391,6 +410,7 @@ let create engine ~model =
     }
   in
   Sim.Chan.set_handler t.egress (fun with_cqe txd -> egress t ~with_cqe txd);
+  Sim.Chan.set_handler t.cqes (fun n () -> deliver_txd_batch t n);
   t
 
 (* --- Posting ----------------------------------------------------------- *)
@@ -438,41 +458,44 @@ let post_txd t txd =
    times match back-to-back unbatched posts), but completion delivery is
    coalesced into a single CQE event at the last packet's finish — which is
    when every segment reference is released. [txds] may be a caller-owned
-   scratch array (only the first [n] slots are read, and they are
-   snapshotted before returning, so the caller can refill it immediately). *)
+   scratch array: only the first [n] slots are read, and they wait for the
+   CQE in the device's own ring, so the caller can refill it immediately. *)
 let post_txd_batch t txds ~n =
   if n = 0 then invalid_arg "Device.post_batch: empty batch";
+  (* Validate the whole batch before posting any of it, so a rejected
+     batch leaves nothing half-posted in the CQE ring. *)
+  for i = 0 to n - 1 do
+    let nsge = txds.(i).d_n in
+    if nsge = 0 then invalid_arg "Device.post_batch: empty gather list";
+    if nsge > t.model.Model.max_sge then
+      raise
+        (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge })
+  done;
   if t.in_flight + n > t.model.Model.tx_ring_entries then raise Ring_full;
   t.doorbells <- t.doorbells + 1;
-  let last_finish = ref 0 in
-  let batch = Array.sub txds 0 n in
-  Array.iteri
-    (fun i txd ->
-      let nsge = txd.d_n in
-      if nsge = 0 then invalid_arg "Device.post_batch: empty gather list";
-      if nsge > t.model.Model.max_sge then
-        raise
-          (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
-      t.in_flight <- t.in_flight + 1;
-      let now = Sim.Engine.now t.engine in
-      let start = max now t.busy_until in
-      let payload_bytes = txd_payload_bytes txd in
-      let dma_ns =
-        (if i = 0 then t.model.Model.pcie_per_descriptor_ns else 0.0)
-        +. (float_of_int nsge *. t.model.Model.pcie_per_sge_ns)
-      in
-      let wire_ns = Model.wire_time_ns t.model ~bytes:payload_bytes in
-      let occupancy = int_of_float (ceil (Float.max dma_ns wire_ns)) in
-      let finish = start + occupancy in
-      t.busy_until <- finish;
-      if finish > !last_finish then last_finish := finish;
-      take_holds txd ~site:"Nic.post_batch";
-      txd.d_wire <- gather t txd ~len:payload_bytes;
-      Sim.Chan.push t.egress ~time:finish 0 txd)
-    batch;
-  (* One coalesced CQE: a completion fault hits the whole batch at once. *)
-  Sim.Engine.schedule_at t.engine ~time:!last_finish (fun () ->
-      deliver_txd_batch t batch)
+  for i = 0 to n - 1 do
+    let txd = txds.(i) in
+    t.in_flight <- t.in_flight + 1;
+    let now = Sim.Engine.now t.engine in
+    let start = max now t.busy_until in
+    let payload_bytes = txd_payload_bytes txd in
+    let dma_ns =
+      (if i = 0 then t.model.Model.pcie_per_descriptor_ns else 0.0)
+      +. (float_of_int txd.d_n *. t.model.Model.pcie_per_sge_ns)
+    in
+    let wire_ns = Model.wire_time_ns t.model ~bytes:payload_bytes in
+    let occupancy = int_of_float (ceil (Float.max dma_ns wire_ns)) in
+    let finish = start + occupancy in
+    t.busy_until <- finish;
+    take_holds txd ~site:"Nic.post_batch";
+    txd.d_wire <- gather t txd ~len:payload_bytes;
+    Sim.Chan.push t.egress ~time:finish 0 txd;
+    Sim.Ring.push t.cqe_wait 0 txd
+  done;
+  (* One coalesced CQE at the last packet's finish: a completion fault hits
+     the whole batch at once. *)
+  Sim.Chan.push t.cqes ~time:t.busy_until n ()
+[@@alloc_free]
 
 (* --- List-descriptor compatibility API --------------------------------- *)
 

@@ -1,36 +1,22 @@
-(** Work-stealing domain pool with a deterministic merge.
+(** Parallel map with a deterministic merge.
 
-    [map ~jobs f arr] evaluates [f] over [arr] on up to [jobs] persistent
-    worker domains and returns the results in submission order — task
-    indices are scattered round-robin across per-worker queues, idle
-    workers steal from their neighbours, and each result lands in the slot
-    named by its index, so scheduling cannot reorder (or otherwise alter)
-    the output. With [jobs = 1], a single-element array, or when called
-    from inside a pool task, it degrades to a plain serial [Array.map] on
-    the calling domain — byte-identical to never having a pool at all.
+    [map ~jobs f arr] evaluates [f] over [arr] on [min jobs n] fresh
+    domains that claim indices from one shared atomic counter, and returns
+    the results in submission order: each result lands in the slot named
+    by its index, so scheduling cannot reorder (or otherwise alter) the
+    output. With [jobs <= 1], at most one element, or when called from
+    inside a task, it is a plain serial [Array.map] on the calling domain.
 
-    The submitting domain does not execute tasks: its domain-local state
-    (RefSan ledger, serializer scratch) is left untouched by a parallel
-    run. Workers fold their RefSan ledgers into the process-wide totals
-    after every task (see [Sanitizer.Refsan.checkpoint]).
+    Tasks must be self-contained: build the engine, address space and RNG
+    stream inside the task (seeded from its index, see [Sim.Rng.stream]),
+    never capture them from the submitting domain.
 
-    The first exception raised by a task is re-raised on the submitting
-    domain after the batch drains. *)
-
-type t
-
-(** [create ~workers] spawns [workers] persistent domains. Most callers
-    want {!map}, which manages a process-wide cached pool. *)
-val create : workers:int -> t
-
-val size : t -> int
-
-(** Stop and join every worker. Idempotent only per pool. *)
-val shutdown : t -> unit
-
-(** [Domain.recommended_domain_count () - 1], clamped to at least 1 —
-    leaves a core for the (parked, but occasionally scheduling) submitter. *)
-val recommended_jobs : unit -> int
+    The submitting domain runs no task, so its domain-local state (RefSan
+    ledger, serializer scratch) is untouched by a parallel run. Each task's
+    RefSan ledger is folded into the process-wide totals when it finishes
+    (see [Sanitizer.Refsan.checkpoint]). Every task runs; then the
+    exception of the lowest-index failed task, if any, is re-raised on the
+    submitting domain. *)
 
 (** Process-wide default for [?jobs] (initially 1 = serial). *)
 val set_default_jobs : int -> unit
@@ -44,6 +30,3 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [mapi_list f xs] — like [map_list], passing each task its submission
     index (e.g. to seed per-task [Sim.Rng.stream ~index] streams). *)
 val mapi_list : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
-(** Run labeled jobs (see {!Job}); results in submission order. *)
-val run_jobs : ?jobs:int -> 'a Job.t list -> 'a list

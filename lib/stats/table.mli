@@ -1,6 +1,6 @@
 (** Minimal fixed-width table printer for bench output.
 
-    Every experiment in [bench/main.ml] prints its paper table/figure series
+    Every experiment run by [cornflakes_cli] prints its paper table/figure series
     through this module so the output is uniform and easy to diff against
     EXPERIMENTS.md. *)
 

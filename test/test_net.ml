@@ -202,6 +202,106 @@ let test_batched_completion_releases_segments () =
   Mem.Pinned.Buf.decr_ref v1;
   Mem.Pinned.Buf.decr_ref v2
 
+(* Sends [n] 512 B values from [a] under a 4-descriptor doorbell batch;
+   each value carries our handle plus the stack's reference. *)
+let send_batched_values env n =
+  let pool = Test_env.data_pool env in
+  Array.init n (fun i ->
+      let v =
+        Test_env.pinned_of_string pool
+          (String.make 512 (Char.chr (Char.code 'a' + i)))
+      in
+      Mem.Pinned.Buf.incr_ref v;
+      let s = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
+      Net.Endpoint.send_inline_header env.Test_env.a ~dst:2 ~segments:[ s; v ];
+      v)
+
+let refcounts vs = Array.to_list (Array.map Mem.Pinned.Buf.refcount vs)
+
+let batch4 = { Net.Endpoint.default_config with Net.Endpoint.tx_batch = 4 }
+
+let test_batched_completion_lost () =
+  let env = Test_env.make ~config:batch4 () in
+  let nic = Net.Endpoint.nic env.Test_env.a in
+  Nic.Device.set_completion_fault nic (Some (fun ~now:_ -> Some `Lose));
+  let vs = send_batched_values env 8 in
+  Sim.Engine.run_all env.Test_env.engine;
+  Alcotest.(check int) "two doorbells" 2 (Net.Endpoint.doorbells env.Test_env.a);
+  Alcotest.(check int) "egress unaffected" 8
+    (Net.Endpoint.rx_packets env.Test_env.b);
+  Alcotest.(check int) "lost completions" 8 (Nic.Device.lost_completions nic);
+  Alcotest.(check (list int)) "every segment pinned" (List.init 8 (fun _ -> 2))
+    (refcounts vs);
+  Alcotest.(check int) "ring slots held" 8 (Nic.Device.in_flight nic);
+  Alcotest.(check int) "reaped" 8 (Nic.Device.reap_lost nic);
+  Alcotest.(check (list int)) "released by the reap" (List.init 8 (fun _ -> 1))
+    (refcounts vs);
+  Alcotest.(check int) "ring drained" 0 (Nic.Device.in_flight nic);
+  Array.iter Mem.Pinned.Buf.decr_ref vs
+
+let test_batched_completion_delayed () =
+  (* Two back-to-back batches, each CQE delayed by [d]: probes scheduled
+     from the fault hook read the refcounts just before and just after
+     each late delivery. *)
+  let d = 5_000 in
+  let env = Test_env.make ~config:batch4 () in
+  let engine = env.Test_env.engine in
+  let nic = Net.Endpoint.nic env.Test_env.a in
+  let vs = ref [||] in
+  let due = ref [] and probes = ref [] in
+  let probe at =
+    Sim.Engine.schedule_at engine ~time:at (fun () ->
+        probes := (at, refcounts !vs) :: !probes)
+  in
+  Nic.Device.set_completion_fault nic
+    (Some
+       (fun ~now ->
+         due := now :: !due;
+         probe (now + d - 1);
+         probe (now + d + 1);
+         Some (`Delay d)));
+  vs := send_batched_values env 8;
+  Sim.Engine.run_all engine;
+  let t1, t2 =
+    match List.rev !due with
+    | [ t1; t2 ] -> (t1, t2)
+    | _ -> Alcotest.fail "expected one CQE per batch"
+  in
+  Alcotest.(check bool) "second batch due later" true (t2 > t1 + 1);
+  Alcotest.(check int) "delayed completions" 8
+    (Nic.Device.delayed_completions nic);
+  let held = List.init 8 (fun _ -> 2) and freed = List.init 8 (fun _ -> 1) in
+  let first_only = List.init 8 (fun i -> if i < 4 then 1 else 2) in
+  Alcotest.(check (list (pair int (list int))))
+    "late, in post order"
+    [
+      (t1 + d - 1, held);
+      (t1 + d + 1, first_only);
+      (t2 + d - 1, first_only);
+      (t2 + d + 1, freed);
+    ]
+    (List.sort compare !probes);
+  Alcotest.(check int) "ring drained" 0 (Nic.Device.in_flight nic);
+  Array.iter Mem.Pinned.Buf.decr_ref !vs
+
+let test_default_config_rings_per_send () =
+  let env = Test_env.make () in
+  for _ = 1 to 5 do
+    Net.Endpoint.send_string env.Test_env.a ~dst:2 "solo"
+  done;
+  Alcotest.(check int) "each send rings before the engine runs" 5
+    (Net.Endpoint.doorbells env.Test_env.a);
+  Sim.Engine.run_all env.Test_env.engine;
+  Alcotest.(check int) "one doorbell per send" 5
+    (Net.Endpoint.doorbells env.Test_env.a);
+  Alcotest.(check int) "all delivered" 5 (Net.Endpoint.rx_packets env.Test_env.b);
+  Alcotest.check_raises "a batch below one is rejected"
+    (Invalid_argument "Endpoint.create: tx_batch < 1") (fun () ->
+      ignore
+        (Test_env.make
+           ~config:{ Net.Endpoint.default_config with Net.Endpoint.tx_batch = 0 }
+           ()))
+
 let suite =
   [
     Alcotest.test_case "send/recv string" `Quick test_send_string_delivery;
@@ -220,4 +320,10 @@ let suite =
       test_doorbell_timeout_flush;
     Alcotest.test_case "batched completion releases refs" `Quick
       test_batched_completion_releases_segments;
+    Alcotest.test_case "batched completion lost until reap" `Quick
+      test_batched_completion_lost;
+    Alcotest.test_case "batched completions delayed in order" `Quick
+      test_batched_completion_delayed;
+    Alcotest.test_case "default config rings per send" `Quick
+      test_default_config_rings_per_send;
   ]
